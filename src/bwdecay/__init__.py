@@ -5,11 +5,11 @@ quadrature oracle, late-time asymptotics, and the exponential to
 power-law cross-over time, with a CSV/JSON command-line front end.
 """
 
+__version__ = "0.1.0"
+
 from .asymptotics import (
     AsymptoticRangeWarning,
-    AsymptoticSeries,
     LambdaCoefficients,
-    SeriesKind,
     amplitude_late,
     decay_rate_late,
     energy_late,
@@ -22,9 +22,7 @@ from .asymptotics import (
     ratio_coefficients,
     ratio_coefficients_legacy,
     ratio_series,
-    series_coefficients,
 )
-from .backend import BACKEND
 from .crossover import CrossoverResult, SurvivorCount, crossover_time, survivor_count
 from .errors import (
     BracketError,
@@ -56,13 +54,9 @@ from .survival import (
     survival_probability,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "AmplitudeValue",
     "AsymptoticRangeWarning",
-    "AsymptoticSeries",
-    "BACKEND",
     "BracketError",
     "BreitWignerModel",
     "ConvergenceError",
@@ -74,7 +68,6 @@ __all__ = [
     "NearZeroAmplitude",
     "QuadratureSettings",
     "ScanRow",
-    "SeriesKind",
     "SurvivorCount",
     "ToleranceNotMet",
     "amplitude",
@@ -104,7 +97,6 @@ __all__ = [
     "ratio_coefficients_legacy",
     "ratio_series",
     "scan_rows",
-    "series_coefficients",
     "survival_probability",
     "survivor_count",
     "time_grid",

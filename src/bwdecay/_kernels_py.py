@@ -1,11 +1,7 @@
-"""Pure-Python kernels for the exponential integral E1 off the branch cut.
+"""Kernels for the exponential integral E1 off the branch cut.
 
-This module is the reference implementation.  A compiled twin with the
-same names and semantics may be available as ``bwdecay._kernels``; the
-choice between the two is made once, at import time, in
-``bwdecay.backend``.
-
-Callers are expected to have validated their arguments (nonzero, off the
+The validated public surface over them is ``bwdecay.special``.  Callers
+are expected to have validated their arguments (nonzero, off the
 negative real axis); the kernels themselves only know how to iterate and
 when to give up.
 """

@@ -28,7 +28,6 @@ instead of failing, since that regime is sometimes probed on purpose.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,40 +40,6 @@ _TWO_PI = 2.0 * math.pi
 
 class AsymptoticRangeWarning(UserWarning):
     """Last retained term grew: outside the series' reliable region."""
-
-
-class SeriesKind(enum.Enum):
-    I_SERIES = "i"
-    J_SERIES = "j"
-    RATIO = "ratio"
-    AMPLITUDE = "amplitude"
-    ENERGY = "energy"
-    RATE = "rate"
-
-
-@dataclass(frozen=True)
-class AsymptoticSeries:
-    """Truncated coefficient list for one late-time expansion.
-
-    ``coefficients`` multiply powers of i/tau (I_SERIES, J_SERIES,
-    RATIO, AMPLITUDE braces) or of 1/tau (ENERGY, RATE); ``order`` is
-    the retained term count.
-    """
-
-    coefficients: tuple
-    order: int
-    kind: SeriesKind
-
-    def __post_init__(self):
-        if self.order < 1 or self.order > len(self.coefficients):
-            raise DomainError(
-                "order must be in 1..{}, got {!r}".format(
-                    len(self.coefficients), self.order
-                )
-            )
-        for c in self.coefficients:
-            if not (math.isfinite(complex(c).real) and math.isfinite(complex(c).imag)):
-                raise DomainError("non-finite series coefficient {!r}".format(c))
 
 
 @dataclass(frozen=True)
@@ -163,31 +128,7 @@ def ratio_coefficients_legacy(beta: float) -> tuple:
     )
 
 
-def series_coefficients(kind: SeriesKind, beta: float, order: int | None = None) -> AsymptoticSeries:
-    """Coefficient table for a given series kind, optionally truncated.
-
-    ENERGY coefficients are for (E - Emin)/gamma0 in powers of 1/tau;
-    RATE for gamma/gamma0 likewise.  The complex kinds carry their
-    documented prefactors separately (see the evaluators).
-    """
-    _check_beta_tau(beta, 1.0)
-    cr = ratio_coefficients(beta)
-    table = {
-        SeriesKind.I_SERIES: i_brace_coefficients(beta),
-        SeriesKind.J_SERIES: j_brace_coefficients(beta),
-        SeriesKind.RATIO: cr,
-        SeriesKind.AMPLITUDE: i_brace_coefficients(beta),
-        SeriesKind.ENERGY: (0.0, 0.0, -cr[2], 0.0, cr[4]),
-        SeriesKind.RATE: (0.0, -2.0 * cr[1], 0.0, 2.0 * cr[3], 0.0),
-    }
-    coeffs = table[kind]
-    if order is None:
-        order = len(coeffs)
-    _check_order(order, len(coeffs))
-    return AsymptoticSeries(coefficients=coeffs[:order], order=order, kind=kind)
-
-
-def _horner_with_flag(coeffs: tuple, x: complex, tau: float, kind: SeriesKind) -> complex:
+def _horner_with_flag(coeffs: tuple, x: complex, tau: float, label: str) -> complex:
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -199,7 +140,7 @@ def _horner_with_flag(coeffs: tuple, x: complex, tau: float, kind: SeriesKind) -
             warnings.warn(
                 "{} series at tau = {:g}: last retained term ({:.3e}) exceeds "
                 "the previous one ({:.3e}); outside the reliable region".format(
-                    kind.name, tau, last, prev
+                    label, tau, last, prev
                 ),
                 AsymptoticRangeWarning,
                 stacklevel=3,
@@ -214,7 +155,7 @@ def i_series(beta: float, tau: float, order: int) -> complex:
     d = beta * beta + 0.25
     x = 1j / tau
     brace = _horner_with_flag(i_brace_coefficients(beta)[:order], x, tau,
-                              SeriesKind.I_SERIES)
+                              "I_SERIES")
     return x * cmath.exp(1j * beta * tau) / d * brace
 
 
@@ -225,7 +166,7 @@ def j_series(beta: float, tau: float, order: int) -> complex:
     d = beta * beta + 0.25
     x = 1j / tau
     brace = _horner_with_flag(j_brace_coefficients(beta)[:order], x, tau,
-                              SeriesKind.J_SERIES)
+                              "J_SERIES")
     return x * cmath.exp(1j * beta * tau) / d * brace
 
 
@@ -239,7 +180,7 @@ def ratio_series(beta: float, tau: float, order: int) -> complex:
     _check_order(order, 5)
     x = 1j / tau
     return _horner_with_flag(ratio_coefficients(beta)[:order], x, tau,
-                             SeriesKind.RATIO)
+                             "RATIO")
 
 
 def amplitude_late(model: BreitWignerModel, tau: float, order: int) -> complex:
@@ -256,7 +197,7 @@ def amplitude_late(model: BreitWignerModel, tau: float, order: int) -> complex:
     d = beta * beta + 0.25
     x = 1j / tau
     brace = _horner_with_flag(i_brace_coefficients(beta)[:order], x, tau,
-                              SeriesKind.AMPLITUDE)
+                              "AMPLITUDE")
     return model.normalization() / (_TWO_PI * d) * x * brace
 
 

@@ -1,50 +1,13 @@
-"""Import-time selection between the compiled and pure-Python kernels.
+"""The E1 kernel module under its historical alias.
 
-The compiled extension is optional: the package builds and works without
-a C compiler, it is just slower in the E1 inner loops.  Selection order:
-
-1. ``BWDECAY_BACKEND=python`` forces the pure kernels.
-2. ``BWDECAY_BACKEND=cython`` requires the extension and fails loudly
-   when it is missing.
-3. Unset: use the extension when importable, else fall back silently.
-
-``BACKEND`` records the choice ("cython" or "python") for callers that
-want to report it, such as the CLI metadata line and the benchmark.
+Kept only for the benchmark: ``perfbench/run.py`` reads ``BACKEND`` in
+``machine_info`` and ``per_layer``, and ``perfbench/tracing.py`` patches
+and line-traces the loops of ``kernels``.  Nothing in the package imports
+this module; a later change to the benchmark may drop it.
 """
 
-from __future__ import annotations
+from . import _kernels_py as kernels
 
-import os
-
-_requested = os.environ.get("BWDECAY_BACKEND", "").strip().lower()
-
-if _requested == "python":
-    from . import _kernels_py as kernels
-
-    BACKEND = "python"
-elif _requested == "cython":
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-    except ImportError as exc:
-        raise ImportError(
-            "BWDECAY_BACKEND=cython requires the compiled extension "
-            "bwdecay._kernels, which is not built"
-        ) from exc
-
-    BACKEND = "cython"
-elif _requested == "":
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        from . import _kernels_py as kernels
-
-        BACKEND = "python"
-else:
-    raise ImportError(
-        "BWDECAY_BACKEND must be 'python', 'cython' or unset, "
-        "got {!r}".format(_requested)
-    )
+BACKEND = "python"
 
 __all__ = ["BACKEND", "kernels"]

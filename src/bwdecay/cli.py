@@ -20,8 +20,8 @@ import json
 import sys
 import warnings
 
+from . import __version__
 from .asymptotics import AsymptoticRangeWarning
-from .backend import BACKEND
 from .crossover import crossover_time
 from .errors import (BracketError, ConvergenceError, DomainError,
                      NearZeroAmplitude, ToleranceNotMet)
@@ -163,9 +163,9 @@ def _cmd_scan(args, model: BreitWignerModel, parser: argparse.ArgumentParser) ->
         if not args.no_meta:
             meta_line = (
                 "# bwdecay scan beta={} method={} grid={} points={} "
-                "tau_min={} tau_max={} terms={} backend={}".format(
+                "tau_min={} tau_max={} terms={} version={}".format(
                     _fmt(model.beta), args.method, args.grid, args.points,
-                    _fmt(args.tau_min), _fmt(args.tau_max), args.terms, BACKEND)
+                    _fmt(args.tau_min), _fmt(args.tau_max), args.terms, __version__)
             )
         text = _render_scan_csv(rows, meta_line)
     else:
@@ -179,7 +179,7 @@ def _cmd_scan(args, model: BreitWignerModel, parser: argparse.ArgumentParser) ->
                 "tau_min": args.tau_min,
                 "tau_max": args.tau_max,
                 "terms": args.terms,
-                "backend": BACKEND,
+                "version": __version__,
             }
         text = _render_scan_json(rows, meta)
     _write_text(text, args.out)

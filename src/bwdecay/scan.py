@@ -17,13 +17,9 @@ from .errors import DomainError
 from .model import BreitWignerModel
 from .quadrature import (QuadratureSettings, amplitude_by_quadrature,
                          i_by_quadrature, j_by_quadrature)
-from .survival import effective_hamiltonian, survival_probability
+from .survival import P_SLACK, effective_hamiltonian, survival_probability
 
 METHODS = ("exact", "asymptotic", "quadrature")
-
-# Probability conservation slack: |a|**2 may poke above 1 by roundoff
-# or by the oracle's tolerance, never by more.
-_P_SLACK = 1e-9
 
 # The late-time amplitude series carries fewer coefficients than the
 # ratio series; a scan's `terms` applies to each series up to its own
@@ -47,11 +43,6 @@ class ScanRow:
     re_h: float | None
     im_h: float | None
     method: str
-
-    @property
-    def t_over_lifetime(self) -> float:
-        """Time in lifetimes; identical to tau since lifetime = hbar/gamma0."""
-        return self.tau
 
 
 def time_grid(tau_min: float, tau_max: float, points: int, kind: str = "log") -> list:
@@ -88,7 +79,7 @@ def time_grid(tau_min: float, tau_max: float, points: int, kind: str = "log") ->
 
 
 def _checked_p(p: float, tau: float, method: str) -> float:
-    if not 0.0 <= p <= 1.0 + _P_SLACK:
+    if not 0.0 <= p <= 1.0 + P_SLACK:
         raise ArithmeticError(
             "survival probability {!r} out of [0, 1 + 1e-9] at tau = {!r} "
             "({} method); this indicates an internal defect".format(p, tau, method)

@@ -1,8 +1,8 @@
 """Complex exponential integral E1 on the principal branch.
 
-Public, validated surface over the backend kernels.  Everything the
-rest of the package needs from special-function land is here: E1 itself
-and its overflow-safe scaled variant G(z) = exp(z)*E1(z).
+Public, validated surface over the kernels in ``_kernels_py``.
+Everything the rest of the package needs from special-function land is
+here: E1 itself and its overflow-safe scaled variant G(z) = exp(z)*E1(z).
 
 Both functions satisfy Schwarz reflection, E1(conj z) = conj E1(z),
 because every constant in the underlying series and fraction is real.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .backend import kernels
+from . import _kernels_py as kernels
 from .errors import DomainError
 
 EULER_GAMMA = kernels.EULER_GAMMA

@@ -44,13 +44,17 @@ _TWO_PI = 2.0 * math.pi
 # modulus is ~ 1e-280 / 2 pi, deep under any physical interpretation.
 _NEAR_ZERO = 1e-280
 
+# Probability conservation slack: |a|**2 may poke above 1 by roundoff
+# or by the oracle's tolerance, never by more.
+P_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class AmplitudeValue:
     """Survival amplitude at one dimensionless time.
 
-    Invariant: ``abs(value) <= 1 + 1e-9`` (probability conservation, up
-    to roundoff).
+    Invariant: ``abs(value)**2 <= 1 + P_SLACK`` (probability
+    conservation, up to roundoff).
     """
 
     value: complex
@@ -58,8 +62,21 @@ class AmplitudeValue:
 
     @property
     def probability(self) -> float:
-        """|value|**2, clipped into [0, 1]."""
-        return min(abs(self.value) ** 2, 1.0)
+        """|value|**2, with roundoff above 1 clipped to 1.
+
+        Raises
+        ------
+        ArithmeticError
+            If |value|**2 exceeds 1 + P_SLACK, which no roundoff can
+            explain.
+        """
+        p = abs(self.value) ** 2
+        if p > 1.0 + P_SLACK:
+            raise ArithmeticError(
+                "survival probability {!r} exceeds 1 + 1e-9 at tau = {!r}; "
+                "this indicates an internal defect".format(p, self.tau)
+            )
+        return min(p, 1.0)
 
 
 @dataclass(frozen=True)
@@ -200,7 +217,7 @@ def amplitude(model: BreitWignerModel, tau: float) -> AmplitudeValue:
 
 
 def survival_probability(model: BreitWignerModel, tau: float) -> float:
-    """Decay law P(tau) = |a(tau)|**2, clipped into [0, 1]."""
+    """Decay law P(tau) = |a(tau)|**2, roundoff above 1 clipped to 1."""
     return amplitude(model, tau).probability
 
 

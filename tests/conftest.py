@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -9,20 +8,15 @@ import pytest
 def run_cli():
     """Invoke the installed command-line tool in a fresh interpreter.
 
-    Returns a callable; positional arguments become argv entries,
-    ``env_extra`` merges into the inherited environment.  Using a
-    subprocess keeps exit codes and stream separation honest.
+    Returns a callable; positional arguments become argv entries.
+    Using a subprocess keeps exit codes and stream separation honest.
     """
 
-    def _run(*args, env_extra=None):
-        env = dict(os.environ)
-        if env_extra:
-            env.update(env_extra)
+    def _run(*args):
         return subprocess.run(
             [sys.executable, "-m", "bwdecay"] + [str(a) for a in args],
             capture_output=True,
             text=True,
-            env=env,
         )
 
     return _run

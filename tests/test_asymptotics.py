@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from bwdecay.asymptotics import (
     AsymptoticRangeWarning,
-    AsymptoticSeries,
     LambdaCoefficients,
-    SeriesKind,
     amplitude_late,
     decay_rate_late,
     energy_late,
@@ -25,7 +23,6 @@ from bwdecay.asymptotics import (
     ratio_coefficients,
     ratio_coefficients_legacy,
     ratio_series,
-    series_coefficients,
 )
 from bwdecay.crossover import crossover_time
 from bwdecay.errors import DomainError
@@ -166,22 +163,6 @@ def test_late_energy_leading_identity():
     tau = 50.0
     scaled = energy_late(m, tau) / 10.0 * tau * tau * d
     assert scaled == pytest.approx(-2.0, abs=1e-3)
-
-
-def test_series_container_contract():
-    s = series_coefficients(SeriesKind.RATIO, 2.0, 5)
-    assert s.kind is SeriesKind.RATIO
-    assert s.order == 5
-    assert tuple(s.coefficients) == tuple(ratio_coefficients(2.0))
-    for kind in SeriesKind:
-        assert series_coefficients(kind, 2.0).coefficients
-
-
-def test_series_container_validation():
-    with pytest.raises(DomainError):
-        AsymptoticSeries(coefficients=(1.0,), order=0, kind=SeriesKind.I_SERIES)
-    with pytest.raises(DomainError):
-        AsymptoticSeries(coefficients=(1.0,), order=9, kind=SeriesKind.I_SERIES)
 
 
 @pytest.mark.parametrize(

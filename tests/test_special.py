@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 import scipy.special
 
+from bwdecay import _kernels_py
 from bwdecay.errors import ConvergenceError, DomainError
 from bwdecay.special import EULER_GAMMA, exp_integral_e1, exp_integral_e1_scaled
 
@@ -77,6 +78,16 @@ def test_near_cut_convergence_failure_is_loud():
         exp_integral_e1(complex(-5.0, -0.1))
     with pytest.raises(ConvergenceError):
         exp_integral_e1_scaled(complex(-5.0, -0.1))
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.8, -0.8, 1.6, -1.6, 2.4])
+def test_series_and_fraction_agree_at_the_seam(angle):
+    # both representations are accurate in a band around the switch
+    # radius, so their mismatch there bounds the worst seam jump
+    z = cmath.rect(4.05, angle)
+    series = _kernels_py.e1_series(z)
+    fraction = cmath.exp(-z) * _kernels_py.e1_cf_scaled(z)
+    assert _rel(series, fraction) < 1e-12
 
 
 @pytest.mark.parametrize("r", [0.005, 0.02, 0.1])

@@ -137,6 +137,13 @@ def test_probability_clips_roundoff_overshoot():
     assert v.probability == 1.0
 
 
+def test_probability_refuses_overshoot_beyond_roundoff():
+    # the conservation bound is checked on the unclipped |a|**2
+    v = AmplitudeValue(value=complex(1.0 + 1e-6, 0.0), tau=0.1)
+    with pytest.raises(ArithmeticError):
+        v.probability
+
+
 def test_hamiltonian_value_composition():
     h = EffectiveHamiltonianValue(energy=3.0, rate=0.5, tau=2.0)
     assert h.h == complex(3.0, -0.25)
