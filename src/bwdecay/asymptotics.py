@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .model import BreitWignerModel
+from .model import BreitWignerModel, check_beta, check_tau
 
 _TWO_PI = 2.0 * math.pi
 
@@ -57,16 +57,10 @@ class LambdaCoefficients:
     big_d4: float
 
 
-def _check_beta_tau(beta: float, tau: float) -> None:
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise DomainError("beta must be a finite positive real, got {!r}".format(beta))
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
-        raise DomainError("tau must be a finite positive real, got {!r}".format(tau))
-
-
-def _check_order(order: int, top: int) -> None:
+def _check_order(order: int, top: int, name: str = "order") -> None:
     if not (isinstance(order, int) and 1 <= order <= top):
-        raise DomainError("order must be an integer in 1..{}, got {!r}".format(top, order))
+        raise DomainError("{} must be an integer in 1..{}, got {!r}".format(
+            name, top, order))
 
 
 def i_brace_coefficients(beta: float) -> tuple:
@@ -150,7 +144,8 @@ def _horner_with_flag(coeffs: tuple, x: complex, tau: float, label: str) -> comp
 
 def i_series(beta: float, tau: float, order: int) -> complex:
     """Late-time I(tau) truncated to ``order`` terms (1..5)."""
-    _check_beta_tau(beta, tau)
+    check_beta(beta)
+    check_tau(tau)
     _check_order(order, 5)
     d = beta * beta + 0.25
     x = 1j / tau
@@ -161,7 +156,8 @@ def i_series(beta: float, tau: float, order: int) -> complex:
 
 def j_series(beta: float, tau: float, order: int) -> complex:
     """Late-time J(tau) truncated to ``order`` terms (1..5)."""
-    _check_beta_tau(beta, tau)
+    check_beta(beta)
+    check_tau(tau)
     _check_order(order, 5)
     d = beta * beta + 0.25
     x = 1j / tau
@@ -176,7 +172,8 @@ def ratio_series(beta: float, tau: float, order: int) -> complex:
     Order 1 is the constant -beta; each further term adds one power of
     i/tau with the regenerated coefficients.
     """
-    _check_beta_tau(beta, tau)
+    check_beta(beta)
+    check_tau(tau)
     _check_order(order, 5)
     x = 1j / tau
     return _horner_with_flag(ratio_coefficients(beta)[:order], x, tau,
@@ -192,7 +189,8 @@ def amplitude_late(model: BreitWignerModel, tau: float, order: int) -> complex:
     truncated brace.  |a_lt|**2 falls off as 1/tau**2 at leading order.
     """
     beta = model.beta
-    _check_beta_tau(beta, tau)
+    check_beta(beta)
+    check_tau(tau)
     _check_order(order, 4)
     d = beta * beta + 0.25
     x = 1j / tau
@@ -210,7 +208,8 @@ def energy_late(model: BreitWignerModel, tau: float) -> float:
     1/tau**2 from below.
     """
     beta = model.beta
-    _check_beta_tau(beta, tau)
+    check_beta(beta)
+    check_tau(tau)
     c = ratio_coefficients(beta)
     correction = -c[2] / tau ** 2 + c[4] / tau ** 4
     return model.emin + model.gamma0 * correction
@@ -224,7 +223,8 @@ def decay_rate_late(model: BreitWignerModel, tau: float) -> float:
     independent of beta, plus a 1/tau**3 correction.
     """
     beta = model.beta
-    _check_beta_tau(beta, tau)
+    check_beta(beta)
+    check_tau(tau)
     c = ratio_coefficients(beta)
     return model.gamma0 * (-2.0 * c[1] / tau + 2.0 * c[3] / tau ** 3)
 

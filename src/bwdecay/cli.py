@@ -131,23 +131,10 @@ def _render_scan_json(rows, meta) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_scan(args, model: BreitWignerModel, parser: argparse.ArgumentParser) -> int:
-    if args.points < 2:
-        parser.error("--points must be >= 2")
-    if not (isinstance(args.terms, int) and 1 <= args.terms <= 5):
-        parser.error("--terms must be in 1..5")
-    if args.tau_min < 0:
-        parser.error("--tau-min must be >= 0")
-    if args.tau_min == 0 and args.method != "exact":
-        parser.error("tau = 0 is only representable with --method exact")
-    if args.tau_min == 0 and args.grid == "log":
-        parser.error("tau = 0 needs --grid linear (log grids cannot reach 0)")
-    if args.tau_max <= args.tau_min:
-        parser.error("--tau-max must exceed --tau-min")
-    try:
-        taus = time_grid(args.tau_min, args.tau_max, args.points, args.grid)
-    except DomainError as exc:
-        parser.error(str(exc))
+def _cmd_scan(args, model: BreitWignerModel) -> int:
+    # time_grid and scan_rows validate every argument; main maps their
+    # DomainError to a usage error
+    taus = time_grid(args.tau_min, args.tau_max, args.points, args.grid)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AsymptoticRangeWarning)
         rows = scan_rows(model, taus, method=args.method, terms=args.terms)
@@ -186,39 +173,7 @@ def _cmd_scan(args, model: BreitWignerModel, parser: argparse.ArgumentParser) ->
     return 0
 
 
-def _cmd_crossover(args, model: BreitWignerModel) -> int:
-    result = crossover_time(model, order=args.terms,
-                            amplitude_const=args.amp_const)
-    record = {
-        "tau_t": result.tau_t,
-        "t_physical": result.t_physical,
-        "bracket_lo": result.bracket[0],
-        "bracket_hi": result.bracket[1],
-        "residual": result.residual,
-        "order": result.order,
-        "iterations": result.iterations,
-    }
-    if args.output == "csv":
-        header = ",".join(record)
-        values = ",".join(
-            _fmt(v) if isinstance(v, float) else str(v) for v in record.values()
-        )
-        text = header + "\n" + values + "\n"
-    else:
-        text = json.dumps(record, indent=2) + "\n"
-    _write_text(text, args.out)
-    return 0
-
-
-def _cmd_info(args, model: BreitWignerModel) -> int:
-    record = {
-        "beta": model.beta,
-        "normalization": model.normalization(),
-        "lifetime": model.lifetime,
-        "peak_density": model.density(model.e0),
-        "gamma_ratio_reference": 1.0,
-        "kappa_reference": 1.0,
-    }
+def _write_record(record: dict, args) -> int:
     if args.output == "csv":
         text = ",".join(record) + "\n" + ",".join(
             _fmt(v) for v in record.values()) + "\n"
@@ -226,6 +181,31 @@ def _cmd_info(args, model: BreitWignerModel) -> int:
         text = json.dumps(record, indent=2) + "\n"
     _write_text(text, args.out)
     return 0
+
+
+def _cmd_crossover(args, model: BreitWignerModel) -> int:
+    result = crossover_time(model, order=args.terms,
+                            amplitude_const=args.amp_const)
+    return _write_record({
+        "tau_t": result.tau_t,
+        "t_physical": result.t_physical,
+        "bracket_lo": result.bracket[0],
+        "bracket_hi": result.bracket[1],
+        "residual": result.residual,
+        "order": result.order,
+        "iterations": result.iterations,
+    }, args)
+
+
+def _cmd_info(args, model: BreitWignerModel) -> int:
+    return _write_record({
+        "beta": model.beta,
+        "normalization": model.normalization(),
+        "lifetime": model.lifetime,
+        "peak_density": model.density(model.e0),
+        "gamma_ratio_reference": 1.0,
+        "kappa_reference": 1.0,
+    }, args)
 
 
 def _add_model_arguments(sub: argparse.ArgumentParser) -> None:
@@ -264,8 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scan = subs.add_parser("scan", help="evaluate observables on a tau grid")
     _add_model_arguments(scan)
     scan.add_argument("--tau-min", type=float, default=0.01,
-                      help="grid start (default 0.01; 0 allowed only with "
-                           "--method exact --grid linear)")
+                      help="grid start (default 0.01; 0 needs --grid linear "
+                           "and --method exact or quadrature)")
     scan.add_argument("--tau-max", type=float, default=40.0,
                       help="grid end (default 40)")
     scan.add_argument("--points", type=int, default=500,
@@ -298,12 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "amp_const", None) is not None and args.amp_const <= 0:
-        parser.error("--amp-const must be positive")
     model = _resolve_model(args, parser)
     try:
         if args.command == "scan":
-            return _cmd_scan(args, model, parser)
+            return _cmd_scan(args, model)
         if args.command == "crossover":
             return _cmd_crossover(args, model)
         return _cmd_info(args, model)

@@ -23,7 +23,7 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .asymptotics import AsymptoticRangeWarning, amplitude_late
+from .asymptotics import AsymptoticRangeWarning, _check_order, amplitude_late
 from .errors import BracketError, DomainError, ToleranceNotMet
 from .model import BreitWignerModel
 
@@ -96,8 +96,7 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
     ToleranceNotMet
         If 200 bisection steps leave |F| above ``tol``.
     """
-    if not (isinstance(order, int) and 1 <= order <= 4):
-        raise DomainError("order must be an integer in 1..4, got {!r}".format(order))
+    _check_order(order, 4)
     if not (isinstance(tol, (int, float)) and tol > 0):
         raise DomainError("tol must be positive, got {!r}".format(tol))
     a_const = model.normalization() if amplitude_const is None else amplitude_const

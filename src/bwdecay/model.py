@@ -7,7 +7,9 @@ dimensionless pair
     beta = (E0 - Emin) / gamma0,      tau = gamma0 * t / hbar,
 
 so this module is the only place physical units appear: construction,
-the tau <-> t maps, and the density itself.
+the tau <-> t maps, and the density itself.  It also owns the domain of
+the dimensionless pair: :func:`check_beta` and :func:`check_tau` are the
+one validator of each for the whole package.
 """
 
 from __future__ import annotations
@@ -16,6 +18,24 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+
+
+def check_beta(beta: float) -> None:
+    """Raise DomainError unless ``beta`` is a finite positive real."""
+    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
+        raise DomainError("beta must be a finite positive real, got {!r}".format(beta))
+
+
+def check_tau(tau: float, hint: str = "", zero_ok: bool = False) -> None:
+    """Raise DomainError unless ``tau`` is a finite real > 0 (>= 0 if ``zero_ok``).
+
+    ``hint`` is appended to the message, typically to say why the
+    caller refuses tau = 0.
+    """
+    if not (isinstance(tau, (int, float)) and math.isfinite(tau)
+            and (tau > 0 or (zero_ok and tau == 0))):
+        raise DomainError("tau must be a finite {} real, got {!r}{}".format(
+            "non-negative" if zero_ok else "positive", tau, hint))
 
 
 @dataclass(frozen=True)
@@ -69,8 +89,7 @@ class BreitWignerModel:
 
         Convenience for scans: e0 is placed at ``emin + beta * gamma0``.
         """
-        if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-            raise DomainError("beta must be a finite positive real, got {!r}".format(beta))
+        check_beta(beta)
         return cls(e0=emin + beta * gamma0, gamma0=gamma0, emin=emin, hbar=hbar)
 
     @property
@@ -84,15 +103,14 @@ class BreitWignerModel:
         return self.hbar / self.gamma0
 
     def tau_of_t(self, t: float) -> float:
-        """Dimensionless time gamma0 * t / hbar for physical t >= 0."""
-        if t < 0:
-            raise DomainError("negative times are out of scope, got t = {!r}".format(t))
-        return self.gamma0 * t / self.hbar
+        """Dimensionless time gamma0 * t / hbar for finite physical t >= 0."""
+        tau = self.gamma0 * t / self.hbar
+        check_tau(tau, hint=" (from t = {!r})".format(t), zero_ok=True)
+        return tau
 
     def t_of_tau(self, tau: float) -> float:
-        """Physical time for dimensionless ``tau`` >= 0; inverse of tau_of_t."""
-        if tau < 0:
-            raise DomainError("negative times are out of scope, got tau = {!r}".format(tau))
+        """Physical time for finite dimensionless ``tau`` >= 0; inverse of tau_of_t."""
+        check_tau(tau, zero_ok=True)
         return self.hbar * tau / self.gamma0
 
     def normalization(self) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 
 from .errors import DomainError, ToleranceNotMet
-from .model import BreitWignerModel
+from .model import BreitWignerModel, check_beta, check_tau
 
 _TWO_PI = 2.0 * math.pi
 
@@ -94,11 +94,6 @@ def _f_j_prime(eta: float) -> float:
 def _f_j_second(eta: float) -> float:
     u = eta * eta + 0.25
     return 2.0 * eta * (eta * eta - 0.75) / (u * u * u)
-
-
-def _check_beta(beta: float) -> None:
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise DomainError("beta must be a finite positive real, got {!r}".format(beta))
 
 
 def _oscillatory_piece(f, a: float, b: float, omega: float,
@@ -232,9 +227,8 @@ def i_by_quadrature(beta: float, tau: float,
         If the combined quadrature and tail error estimate does not
         meet rel_tol*|I| + abs_tol.
     """
-    _check_beta(beta)
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau >= 0):
-        raise DomainError("tau must be a finite real >= 0, got {!r}".format(tau))
+    check_beta(beta)
+    check_tau(tau, zero_ok=True)
     s = settings or _DEFAULT_SETTINGS
     value, err = _i_signed(beta, float(tau), s)
     return _enforce(value, err, s, "I({}) quadrature".format(tau))
@@ -248,12 +242,8 @@ def j_by_quadrature(beta: float, tau: float,
     1/eta, so at tau = 0 the integral diverges logarithmically and for
     tau > 0 it converges only conditionally, through the oscillation.
     """
-    _check_beta(beta)
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
-        raise DomainError(
-            "tau must be > 0 (J diverges logarithmically at tau = 0), "
-            "got {!r}".format(tau)
-        )
+    check_beta(beta)
+    check_tau(tau, hint=" (J diverges logarithmically at tau = 0)")
     s = settings or _DEFAULT_SETTINGS
     tau = float(tau)
     value, err = _fourier_with_tail(_f_j, _f_j_prime, _f_j_second,

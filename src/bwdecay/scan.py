@@ -9,12 +9,11 @@ late-time series ("asymptotic"), or the integration oracle
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .asymptotics import amplitude_late, ratio_series
+from .asymptotics import _check_order, amplitude_late, ratio_series
 from .errors import DomainError
-from .model import BreitWignerModel
+from .model import BreitWignerModel, check_tau
 from .quadrature import (QuadratureSettings, amplitude_by_quadrature,
                          i_by_quadrature, j_by_quadrature)
 from .survival import P_SLACK, effective_hamiltonian, survival_probability
@@ -53,26 +52,21 @@ def time_grid(tau_min: float, tau_max: float, points: int, kind: str = "log") ->
     """
     if points < 2:
         raise DomainError("points must be >= 2, got {!r}".format(points))
-    if not (math.isfinite(tau_min) and math.isfinite(tau_max)):
-        raise DomainError("grid endpoints must be finite")
+    if kind not in ("linear", "log"):
+        raise DomainError("grid kind must be 'linear' or 'log', got {!r}".format(kind))
+    check_tau(tau_min, hint=" (tau_min of a {} grid)".format(kind),
+              zero_ok=kind == "linear")
+    check_tau(tau_max, hint=" (tau_max)")
     if tau_max <= tau_min:
         raise DomainError(
             "tau_max must exceed tau_min, got [{!r}, {!r}]".format(tau_min, tau_max)
         )
     if kind == "linear":
-        if tau_min < 0:
-            raise DomainError("tau_min must be >= 0, got {!r}".format(tau_min))
         step = (tau_max - tau_min) / (points - 1)
         grid = [tau_min + i * step for i in range(points)]
-    elif kind == "log":
-        if tau_min <= 0:
-            raise DomainError(
-                "log grids need tau_min > 0, got {!r}".format(tau_min)
-            )
+    else:
         ratio = tau_max / tau_min
         grid = [tau_min * ratio ** (i / (points - 1)) for i in range(points)]
-    else:
-        raise DomainError("grid kind must be 'linear' or 'log', got {!r}".format(kind))
     grid[0] = tau_min
     grid[-1] = tau_max
     return grid
@@ -87,42 +81,33 @@ def _checked_p(p: float, tau: float, method: str) -> float:
     return p
 
 
+def _row(model: BreitWignerModel, tau: float, p: float, energy: float | None,
+         rate: float | None, method: str) -> ScanRow:
+    # energy and rate are None at tau = 0, where h is undefined
+    if energy is None:
+        return ScanRow(tau=0.0, p=p, kappa=None, gamma_ratio=None,
+                       re_h=None, im_h=None, method=method)
+    return ScanRow(tau=float(tau), p=p, kappa=energy / model.beta,
+                   gamma_ratio=rate, re_h=energy, im_h=-0.5 * rate, method=method)
+
+
 def _exact_row(model: BreitWignerModel, tau: float) -> ScanRow:
     p = _checked_p(survival_probability(model, tau), tau, "exact")
     if tau == 0:
-        return ScanRow(tau=0.0, p=p, kappa=None, gamma_ratio=None,
-                       re_h=None, im_h=None, method="exact")
+        return _row(model, tau, p, None, None, "exact")
     h = effective_hamiltonian(model, tau)
-    return ScanRow(
-        tau=float(tau),
-        p=p,
-        kappa=h.energy / model.beta,
-        gamma_ratio=h.rate,
-        re_h=h.energy,
-        im_h=-0.5 * h.rate,
-        method="exact",
-    )
+    return _row(model, tau, p, h.energy, h.rate, "exact")
 
 
 def _asymptotic_row(model: BreitWignerModel, tau: float, terms: int) -> ScanRow:
     # No p-range enforcement here: below its validity region the series
     # blows up like 1/tau**2 by design, and scanning into that region
-    # is allowed (the range warning fires instead).
-    if tau <= 0:
-        raise DomainError("asymptotic rows need tau > 0, got {!r}".format(tau))
+    # is allowed (the range warning fires instead).  amplitude_late
+    # refuses tau <= 0.
     amp = amplitude_late(model, tau, min(terms, _MAX_AMPLITUDE_TERMS))
     r = ratio_series(model.beta, tau, terms)
-    energy = model.beta + r.real
-    rate = -2.0 * r.imag
-    return ScanRow(
-        tau=float(tau),
-        p=abs(amp) ** 2,
-        kappa=energy / model.beta,
-        gamma_ratio=rate,
-        re_h=energy,
-        im_h=-0.5 * rate,
-        method="asymptotic",
-    )
+    return _row(model, tau, abs(amp) ** 2, model.beta + r.real, -2.0 * r.imag,
+                "asymptotic")
 
 
 def _quadrature_row(model: BreitWignerModel, tau: float,
@@ -130,21 +115,10 @@ def _quadrature_row(model: BreitWignerModel, tau: float,
     p = _checked_p(abs(amplitude_by_quadrature(model, tau, settings)) ** 2,
                    tau, "quadrature")
     if tau == 0:
-        return ScanRow(tau=0.0, p=p, kappa=None, gamma_ratio=None,
-                       re_h=None, im_h=None, method="quadrature")
+        return _row(model, tau, p, None, None, "quadrature")
     r = j_by_quadrature(model.beta, tau, settings) \
         / i_by_quadrature(model.beta, tau, settings)
-    energy = model.beta + r.real
-    rate = -2.0 * r.imag
-    return ScanRow(
-        tau=float(tau),
-        p=p,
-        kappa=energy / model.beta,
-        gamma_ratio=rate,
-        re_h=energy,
-        im_h=-0.5 * rate,
-        method="quadrature",
-    )
+    return _row(model, tau, p, model.beta + r.real, -2.0 * r.imag, "quadrature")
 
 
 def scan_rows(model: BreitWignerModel, taus, method: str = "exact",
@@ -167,8 +141,7 @@ def scan_rows(model: BreitWignerModel, taus, method: str = "exact",
     """
     if method not in METHODS:
         raise DomainError("method must be one of {}, got {!r}".format(METHODS, method))
-    if not (isinstance(terms, int) and 1 <= terms <= 5):
-        raise DomainError("terms must be an integer in 1..5, got {!r}".format(terms))
+    _check_order(terms, 5, "terms")
     rows = []
     for tau in taus:
         if method == "exact":

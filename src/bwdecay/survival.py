@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NearZeroAmplitude
-from .model import BreitWignerModel
+from .model import BreitWignerModel, check_beta, check_tau
 from .special import exp_integral_e1_scaled
 
 _TWO_PI = 2.0 * math.pi
@@ -99,22 +99,23 @@ class EffectiveHamiltonianValue:
         return complex(self.energy, -0.5 * self.rate)
 
 
-def _check_beta(beta: float) -> None:
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise DomainError("beta must be a finite positive real, got {!r}".format(beta))
-
-
-def _check_positive_tau(tau: float, hint: str = "") -> None:
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
-        raise DomainError("tau must be a finite positive real, got {!r}{}".format(tau, hint))
-
-
 def _g_pair(beta: float, tau: float) -> tuple[complex, complex]:
     # G at the two pole images; z+ sits in the fourth quadrant, z- in
     # the third, both a fixed angle arctan(2 beta) away from the cut.
     g_plus = exp_integral_e1_scaled(complex(0.5 * tau, -beta * tau))
     g_minus = exp_integral_e1_scaled(complex(-0.5 * tau, -beta * tau))
     return g_plus, g_minus
+
+
+def _pieces(beta: float, tau: float) -> tuple[complex, complex, complex, complex]:
+    # (i_pole, i_tail, j_pole, j_tail) from one G pair: the canonical
+    # pole parts 2 pi e^{-tau/2} and -i pi e^{-tau/2}, and the power
+    # tails; I = i_pole + i_tail and J = j_pole + j_tail.
+    g_plus, g_minus = _g_pair(beta, tau)
+    phase = cmath.exp(1j * beta * tau)
+    decay = math.exp(-0.5 * tau)
+    return (_TWO_PI * decay, 1j * phase * (g_minus - g_plus),
+            -1j * math.pi * decay, 0.5 * phase * (g_plus + g_minus))
 
 
 def i_beta_at_zero(beta: float) -> float:
@@ -124,7 +125,7 @@ def i_beta_at_zero(beta: float) -> float:
     tau = 0 (E1 diverges there; the divergences cancel only in the
     limit).
     """
-    _check_beta(beta)
+    check_beta(beta)
     return math.pi + 2.0 * math.atan(2.0 * beta)
 
 
@@ -144,16 +145,15 @@ def i_beta(beta: float, tau: float) -> complex:
     complex
         I(tau); N/(2 pi) times this, dephased, is the amplitude.
     """
-    _check_beta(beta)
-    _check_positive_tau(tau, hint=" (the tau -> 0 limit is i_beta_at_zero)")
+    check_beta(beta)
+    check_tau(tau, hint=" (the tau -> 0 limit is i_beta_at_zero)")
     if tau < 1e-300:
         # the components of tau/2 - i*beta*tau denormalize here and the
         # two E1 arguments collapse onto each other; the true deviation
         # from the limit is O(tau*ln tau), far below one ulp of it
         return complex(i_beta_at_zero(beta), 0.0)
-    g_plus, g_minus = _g_pair(beta, tau)
-    phase = cmath.exp(1j * beta * tau)
-    return _TWO_PI * math.exp(-0.5 * tau) + 1j * phase * (g_minus - g_plus)
+    i_pole, i_tail, _, _ = _pieces(beta, tau)
+    return i_pole + i_tail
 
 
 def j_beta(beta: float, tau: float) -> complex:
@@ -162,11 +162,10 @@ def j_beta(beta: float, tau: float) -> complex:
     Diverges logarithmically as tau -> 0+ (the integrand falls off only
     like 1/eta), hence tau > 0 strictly.
     """
-    _check_beta(beta)
-    _check_positive_tau(tau, hint=" (J diverges logarithmically at tau = 0)")
-    g_plus, g_minus = _g_pair(beta, tau)
-    phase = cmath.exp(1j * beta * tau)
-    return -1j * math.pi * math.exp(-0.5 * tau) + 0.5 * phase * (g_plus + g_minus)
+    check_beta(beta)
+    check_tau(tau, hint=" (J diverges logarithmically at tau = 0)")
+    _, _, j_pole, j_tail = _pieces(beta, tau)
+    return j_pole + j_tail
 
 
 def chi(beta: float, tau: float) -> complex:
@@ -178,16 +177,16 @@ def chi(beta: float, tau: float) -> complex:
     exp(tau/2)/tau at late times, so a genuine OverflowError occurs past
     tau ~ 1400.
     """
-    _check_beta(beta)
-    _check_positive_tau(tau)
+    check_beta(beta)
+    check_tau(tau)
     g_plus, g_minus = _g_pair(beta, tau)
     return math.exp(0.5 * tau) * cmath.exp(1j * beta * tau) * (g_plus - g_minus)
 
 
 def chi_derivative(beta: float, tau: float) -> complex:
     """d chi / d tau = exp(tau) E1(z+), nonzero except at isolated tau."""
-    _check_beta(beta)
-    _check_positive_tau(tau)
+    check_beta(beta)
+    check_tau(tau)
     g_plus, _ = _g_pair(beta, tau)
     return math.exp(0.5 * tau) * cmath.exp(1j * beta * tau) * g_plus
 
@@ -222,13 +221,11 @@ def survival_probability(model: BreitWignerModel, tau: float) -> float:
 
 
 def _j_over_i(beta: float, tau: float) -> complex:
-    _check_beta(beta)
-    _check_positive_tau(tau, hint=" (the mean energy diverges at t = 0)")
-    g_plus, g_minus = _g_pair(beta, tau)
-    phase = cmath.exp(1j * beta * tau)
-    decay = math.exp(-0.5 * tau)
-    i_val = _TWO_PI * decay + 1j * phase * (g_minus - g_plus)
-    j_val = -1j * math.pi * decay + 0.5 * phase * (g_plus + g_minus)
+    check_beta(beta)
+    check_tau(tau, hint=" (the mean energy diverges at t = 0)")
+    i_pole, i_tail, j_pole, j_tail = _pieces(beta, tau)
+    i_val = i_pole + i_tail
+    j_val = j_pole + j_tail
     if abs(i_val) < _NEAR_ZERO:
         raise NearZeroAmplitude(
             "|I({})| = {:.3e} is below 1e-280; the ratio J/I is unreliable "
@@ -275,8 +272,8 @@ def effective_hamiltonian(model: BreitWignerModel, tau: float,
         return EffectiveHamiltonianValue(energy=beta + r.real,
                                          rate=-2.0 * r.imag, tau=float(tau))
     if route == "brace":
-        _check_beta(beta)
-        _check_positive_tau(tau, hint=" (the mean energy diverges at t = 0)")
+        check_beta(beta)
+        check_tau(tau, hint=" (the mean energy diverges at t = 0)")
         g_plus, g_minus = _g_pair(beta, tau)
         # exp(tau/2) overflows past tau ~ 1419; genuine limit of this route.
         grow = math.exp(0.5 * tau) * cmath.exp(1j * beta * tau)

@@ -64,6 +64,11 @@ def test_time_conversion_rejects_negative():
         m.tau_of_t(-1.0)
     with pytest.raises(DomainError):
         m.t_of_tau(-0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            m.tau_of_t(bad)
+        with pytest.raises(DomainError):
+            m.t_of_tau(bad)
 
 
 def test_normalization_frozen_value():

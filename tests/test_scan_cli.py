@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from bwdecay.cli import _build_parser
 from bwdecay.errors import DomainError
 from bwdecay.model import BreitWignerModel
 from bwdecay.scan import ScanRow, scan_rows, time_grid
@@ -198,6 +199,24 @@ class TestScanCommand:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr != ""
+        # the CLI checks nothing itself: it reports the library's refusal
+        # of the same arguments
+        ns = _build_parser().parse_args(list(args))
+        with pytest.raises(DomainError) as refusal:
+            scan_rows(BreitWignerModel.from_beta(ns.beta),
+                      time_grid(ns.tau_min, ns.tau_max, ns.points, ns.grid),
+                      method=ns.method, terms=ns.terms)
+        assert res.stderr.splitlines()[-1].endswith(str(refusal.value))
+
+    def test_quadrature_route_reaches_zero_time(self, run_cli):
+        res = run_cli("scan", "--beta", "2", "--tau-min", "0", "--tau-max", "2",
+                      "--points", "3", "--grid", "linear", "--method", "quadrature",
+                      "--output", "json")
+        assert res.returncode == 0, res.stderr
+        first = json.loads(res.stdout)["rows"][0]
+        assert first["tau"] == 0.0
+        assert first["p"] == pytest.approx(1.0, abs=1e-12)
+        assert first["kappa"] is None
 
 
 class TestModelResolution:

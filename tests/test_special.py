@@ -80,6 +80,22 @@ def test_near_cut_convergence_failure_is_loud():
         exp_integral_e1_scaled(complex(-5.0, -0.1))
 
 
+@pytest.mark.parametrize("z", [
+    complex(-500.0, -1e11),
+    complex(-5e7, -52983169062837.086),          # z- at beta ~ 5.3e5, tau = 1e8
+    complex(19283102.10581736, -3856620421163472.0),  # z+ at beta = 1e8
+])
+def test_fraction_converges_at_large_modulus(z):
+    # at large |z| each step of the fraction can settle a few ulps below
+    # 1.0, which the 1e-16 step test never accepts; the value is
+    # converged all the same and must be returned, not refused
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        w = mpmath.mpc(z.real, z.imag)
+        expected = complex(mpmath.exp(w) * mpmath.e1(w))
+    assert _rel(exp_integral_e1_scaled(z), expected) < 1e-12
+
+
 @pytest.mark.parametrize("angle", [0.0, 0.8, -0.8, 1.6, -1.6, 2.4])
 def test_series_and_fraction_agree_at_the_seam(angle):
     # both representations are accurate in a band around the switch

@@ -222,6 +222,18 @@ def test_near_zero_amplitude_raises():
         effective_hamiltonian(m, 1e290)
 
 
+def test_exact_route_covers_large_beta_tau():
+    # 30 x 30 log grid, beta in [1e5, 1e8] by tau in [1e6, 1e8]: the
+    # fraction used to stall one ulp short of its stopping test at 188
+    # of these points and raise ConvergenceError
+    for i in range(30):
+        m = BreitWignerModel.from_beta(1e5 * 10.0 ** (3.0 * i / 29))
+        for j in range(30):
+            tau = 1e6 * 10.0 ** (2.0 * j / 29)
+            assert 0.0 <= survival_probability(m, tau) <= 1.0
+            assert math.isfinite(effective_hamiltonian(m, tau).rate)
+
+
 def test_kappa_tracks_energy_ratio():
     m = BreitWignerModel.from_beta(10.0)
     h = effective_hamiltonian(m, 7.0)
