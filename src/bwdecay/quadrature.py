@@ -21,15 +21,18 @@ estimate.  The returned value must satisfy
     err_estimate <= rel_tol*|value| + abs_tol
 
 or ToleranceNotMet is raised carrying the achieved estimate.
+
+scipy is needed by this oracle only, and it is imported on the first
+call of :func:`quad`, so importing this module (and with it the
+package and the CLI) costs nothing until a quadrature is evaluated.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .errors import DomainError, ToleranceNotMet
 from .model import BreitWignerModel, check_beta, check_tau
@@ -66,6 +69,13 @@ class QuadratureSettings:
 
 
 _DEFAULT_SETTINGS = QuadratureSettings()
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _f_i(eta: float) -> float:
@@ -175,6 +185,11 @@ def _enforce(value: complex, err: float, settings: QuadratureSettings,
     return value
 
 
+# A quadrature scan row asks for I twice at one point, through the
+# amplitude and through J/I; the memo lets both share one integration
+# while each keeps its own call (and benchmark span).  Settings is a
+# frozen dataclass, so it is part of the key.
+@functools.lru_cache(maxsize=1)
 def _i_signed(beta: float, omega: float,
               settings: QuadratureSettings) -> tuple[complex, float]:
     # I with an arbitrary-sign frequency; omega = +tau is the physical

@@ -31,6 +31,7 @@ observables, so the phase origin is documented rather than load-bearing.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,6 +108,10 @@ def _g_pair(beta: float, tau: float) -> tuple[complex, complex]:
     return g_plus, g_minus
 
 
+# A scan row evaluates survival_probability and then
+# effective_hamiltonian at one point; the memo lets both share one G pair
+# while each keeps its own call (and benchmark span).
+@functools.lru_cache(maxsize=1)
 def _pieces(beta: float, tau: float) -> tuple[complex, complex, complex, complex]:
     # (i_pole, i_tail, j_pole, j_tail) from one G pair: the canonical
     # pole parts 2 pi e^{-tau/2} and -i pi e^{-tau/2}, and the power
