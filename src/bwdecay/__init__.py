@@ -47,6 +47,7 @@ from .survival import (
     chi,
     chi_derivative,
     effective_hamiltonian,
+    effective_hamiltonian_brace,
     i_beta,
     i_beta_at_zero,
     j_beta,
@@ -78,6 +79,7 @@ __all__ = [
     "crossover_time",
     "decay_rate_late",
     "effective_hamiltonian",
+    "effective_hamiltonian_brace",
     "energy_late",
     "exp_integral_e1",
     "exp_integral_e1_scaled",

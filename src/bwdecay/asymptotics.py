@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .model import BreitWignerModel, check_beta, check_tau
+from .model import BreitWignerModel, check_beta, check_real, check_tau
 
 _TWO_PI = 2.0 * math.pi
 
@@ -122,14 +122,24 @@ def ratio_coefficients_legacy(beta: float) -> tuple:
     )
 
 
-def _horner_with_flag(coeffs: tuple, x: complex, tau: float, label: str) -> complex:
+def _series(coefficients, beta: float, tau: float, order: int, top: int,
+            label: str) -> complex:
+    # The one series core: validate the arguments, then Horner-evaluate
+    # the first `order` of coefficients(beta) at x = i/tau.  Warns, at
+    # the public function's caller (stacklevel 3), when the last retained
+    # term exceeds the one before it.
+    check_beta(beta)
+    check_tau(tau)
+    _check_order(order, top)
+    coeffs = coefficients(beta)[:order]
+    x = 1j / tau
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * x + c
-    if len(coeffs) >= 2:
+    if order >= 2:
         scale = abs(x)
-        last = abs(coeffs[-1]) * scale ** (len(coeffs) - 1)
-        prev = abs(coeffs[-2]) * scale ** (len(coeffs) - 2)
+        last = abs(coeffs[-1]) * scale ** (order - 1)
+        prev = abs(coeffs[-2]) * scale ** (order - 2)
         if last > prev:
             warnings.warn(
                 "{} series at tau = {:g}: last retained term ({:.3e}) exceeds "
@@ -144,26 +154,14 @@ def _horner_with_flag(coeffs: tuple, x: complex, tau: float, label: str) -> comp
 
 def i_series(beta: float, tau: float, order: int) -> complex:
     """Late-time I(tau) truncated to ``order`` terms (1..5)."""
-    check_beta(beta)
-    check_tau(tau)
-    _check_order(order, 5)
-    d = beta * beta + 0.25
-    x = 1j / tau
-    brace = _horner_with_flag(i_brace_coefficients(beta)[:order], x, tau,
-                              "I_SERIES")
-    return x * cmath.exp(1j * beta * tau) / d * brace
+    brace = _series(i_brace_coefficients, beta, tau, order, 5, "I_SERIES")
+    return 1j / tau * cmath.exp(1j * beta * tau) / (beta * beta + 0.25) * brace
 
 
 def j_series(beta: float, tau: float, order: int) -> complex:
     """Late-time J(tau) truncated to ``order`` terms (1..5)."""
-    check_beta(beta)
-    check_tau(tau)
-    _check_order(order, 5)
-    d = beta * beta + 0.25
-    x = 1j / tau
-    brace = _horner_with_flag(j_brace_coefficients(beta)[:order], x, tau,
-                              "J_SERIES")
-    return x * cmath.exp(1j * beta * tau) / d * brace
+    brace = _series(j_brace_coefficients, beta, tau, order, 5, "J_SERIES")
+    return 1j / tau * cmath.exp(1j * beta * tau) / (beta * beta + 0.25) * brace
 
 
 def ratio_series(beta: float, tau: float, order: int) -> complex:
@@ -172,12 +170,7 @@ def ratio_series(beta: float, tau: float, order: int) -> complex:
     Order 1 is the constant -beta; each further term adds one power of
     i/tau with the regenerated coefficients.
     """
-    check_beta(beta)
-    check_tau(tau)
-    _check_order(order, 5)
-    x = 1j / tau
-    return _horner_with_flag(ratio_coefficients(beta)[:order], x, tau,
-                             "RATIO")
+    return _series(ratio_coefficients, beta, tau, order, 5, "RATIO")
 
 
 def amplitude_late(model: BreitWignerModel, tau: float, order: int) -> complex:
@@ -189,14 +182,9 @@ def amplitude_late(model: BreitWignerModel, tau: float, order: int) -> complex:
     truncated brace.  |a_lt|**2 falls off as 1/tau**2 at leading order.
     """
     beta = model.beta
-    check_beta(beta)
-    check_tau(tau)
-    _check_order(order, 4)
+    brace = _series(i_brace_coefficients, beta, tau, order, 4, "AMPLITUDE")
     d = beta * beta + 0.25
-    x = 1j / tau
-    brace = _horner_with_flag(i_brace_coefficients(beta)[:order], x, tau,
-                              "AMPLITUDE")
-    return model.normalization() / (_TWO_PI * d) * x * brace
+    return model.normalization() / (_TWO_PI * d) * (1j / tau) * brace
 
 
 def energy_late(model: BreitWignerModel, tau: float) -> float:
@@ -229,6 +217,16 @@ def decay_rate_late(model: BreitWignerModel, tau: float) -> float:
     return model.gamma0 * (-2.0 * c[1] / tau + 2.0 * c[3] / tau ** 3)
 
 
+def _lambda_factor(rho_bare: float, d2: float, d4: float,
+                   g_newton: float, light_speed: float) -> float:
+    # the one check of the Lambda(t) inputs; returns 8 pi G / c**2
+    for name, value in (("rho_bare", rho_bare), ("d2", d2), ("d4", d4)):
+        check_real(name, value)
+    check_real("G", g_newton, positive=True)
+    check_real("c", light_speed, positive=True)
+    return 8.0 * math.pi * g_newton / light_speed ** 2
+
+
 def lambda_of_t(rho_bare: float, d2: float, d4: float, t: float,
                 g_newton: float = 1.0, light_speed: float = 1.0) -> float:
     """Running cosmological-constant value Lambda(t).
@@ -236,13 +234,11 @@ def lambda_of_t(rho_bare: float, d2: float, d4: float, t: float,
     Maps a decaying energy density rho(t) = rho_bare + d2/t**2 + d4/t**4
     onto Lambda(t) = (8 pi G / c**2) rho(t).  The coefficients d2, d4
     are free inputs here; nothing in this package pins them to the
-    energy expansion beyond proportionality.
+    energy expansion beyond proportionality.  Every input must be
+    finite, and t, G and c positive.
     """
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
-        raise DomainError("t must be a finite positive real, got {!r}".format(t))
-    if g_newton <= 0 or light_speed <= 0:
-        raise DomainError("G and c must be positive")
-    factor = 8.0 * math.pi * g_newton / light_speed ** 2
+    check_real("t", t, positive=True)
+    factor = _lambda_factor(rho_bare, d2, d4, g_newton, light_speed)
     return factor * (rho_bare + d2 / t ** 2 + d4 / t ** 4)
 
 
@@ -250,9 +246,7 @@ def lambda_coefficients(rho_bare: float, d2: float, d4: float,
                         g_newton: float = 1.0,
                         light_speed: float = 1.0) -> LambdaCoefficients:
     """Bundle the Lambda(t) coefficient map without evaluating it."""
-    if g_newton <= 0 or light_speed <= 0:
-        raise DomainError("G and c must be positive")
-    factor = 8.0 * math.pi * g_newton / light_speed ** 2
+    factor = _lambda_factor(rho_bare, d2, d4, g_newton, light_speed)
     return LambdaCoefficients(
         lambda_bare=factor * rho_bare,
         d2=d2,

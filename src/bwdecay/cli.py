@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import fields
 
 from . import __version__
 from .asymptotics import AsymptoticRangeWarning
@@ -26,9 +27,8 @@ from .crossover import crossover_time
 from .errors import (BracketError, ConvergenceError, DomainError,
                      NearZeroAmplitude, ToleranceNotMet)
 from .model import BreitWignerModel
-from .scan import scan_rows, time_grid
+from .scan import METHODS, ScanRow, scan_rows, time_grid
 
-_CSV_HEADER = "tau,p,kappa,gamma_ratio,re_h,im_h,method"
 _CONFIG_KEYS = ("beta", "e0", "gamma0", "emin", "hbar")
 _MODEL_DEFAULTS = {"gamma0": 1.0, "emin": 0.0, "hbar": 1.0}
 
@@ -99,38 +99,6 @@ def _write_text(text: str, out_path) -> None:
             fh.write(text)
 
 
-def _render_scan_csv(rows, meta_line) -> str:
-    lines = []
-    if meta_line is not None:
-        lines.append(meta_line)
-    lines.append(_CSV_HEADER)
-    for r in rows:
-        lines.append(",".join((
-            _fmt(r.tau), _fmt(r.p), _fmt(r.kappa), _fmt(r.gamma_ratio),
-            _fmt(r.re_h), _fmt(r.im_h), r.method,
-        )))
-    return "\n".join(lines) + "\n"
-
-
-def _render_scan_json(rows, meta) -> str:
-    payload = {}
-    if meta is not None:
-        payload["meta"] = meta
-    payload["rows"] = [
-        {
-            "tau": r.tau,
-            "p": r.p,
-            "kappa": r.kappa,
-            "gamma_ratio": r.gamma_ratio,
-            "re_h": r.re_h,
-            "im_h": r.im_h,
-            "method": r.method,
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _cmd_scan(args, model: BreitWignerModel) -> int:
     # time_grid and scan_rows validate every argument; main maps their
     # DomainError to a usage error
@@ -145,30 +113,30 @@ def _cmd_scan(args, model: BreitWignerModel) -> int:
             "series' reliable region".format(flagged),
             file=sys.stderr,
         )
+    meta = None if args.no_meta else {
+        "beta": model.beta,
+        "method": args.method,
+        "grid": args.grid,
+        "points": args.points,
+        "tau_min": args.tau_min,
+        "tau_max": args.tau_max,
+        "terms": args.terms,
+        "version": __version__,
+    }
     if args.output == "csv":
-        meta_line = None
-        if not args.no_meta:
-            meta_line = (
-                "# bwdecay scan beta={} method={} grid={} points={} "
-                "tau_min={} tau_max={} terms={} version={}".format(
-                    _fmt(model.beta), args.method, args.grid, args.points,
-                    _fmt(args.tau_min), _fmt(args.tau_max), args.terms, __version__)
-            )
-        text = _render_scan_csv(rows, meta_line)
+        lines = [] if meta is None else ["# bwdecay scan " + " ".join(
+            "{}={}".format(k, v if isinstance(v, str) else _fmt(v))
+            for k, v in meta.items())]
+        lines.append(",".join(f.name for f in fields(ScanRow)))
+        lines.extend(",".join((
+            _fmt(r.tau), _fmt(r.p), _fmt(r.kappa), _fmt(r.gamma_ratio),
+            _fmt(r.re_h), _fmt(r.im_h), r.method,
+        )) for r in rows)
+        text = "\n".join(lines) + "\n"
     else:
-        meta = None
-        if not args.no_meta:
-            meta = {
-                "beta": model.beta,
-                "method": args.method,
-                "grid": args.grid,
-                "points": args.points,
-                "tau_min": args.tau_min,
-                "tau_max": args.tau_max,
-                "terms": args.terms,
-                "version": __version__,
-            }
-        text = _render_scan_json(rows, meta)
+        payload = {} if meta is None else {"meta": meta}
+        payload["rows"] = [vars(r) for r in rows]
+        text = json.dumps(payload, indent=2) + "\n"
     _write_text(text, args.out)
     return 0
 
@@ -252,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="grid size, >= 2 (default 500)")
     scan.add_argument("--grid", choices=("linear", "log"), default="log",
                       help="grid spacing (default log)")
-    scan.add_argument("--method", choices=("exact", "asymptotic", "quadrature"),
+    scan.add_argument("--method", choices=METHODS,
                       default="exact", help="computational route (default exact)")
     scan.add_argument("--terms", type=int, default=5,
                       help="series truncation for --method asymptotic, 1..5")

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 from .asymptotics import AsymptoticRangeWarning, _check_order, amplitude_late
 from .errors import BracketError, DomainError, ToleranceNotMet
-from .model import BreitWignerModel
+from .model import BreitWignerModel, check_real
+from .scan import time_grid
 
 _BRACKET_LO = 1.0
 _BRACKET_HI = 1.0e4
@@ -100,26 +101,20 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
     if not (isinstance(tol, (int, float)) and tol > 0):
         raise DomainError("tol must be positive, got {!r}".format(tol))
     a_const = model.normalization() if amplitude_const is None else amplitude_const
-    if not (isinstance(a_const, (int, float)) and math.isfinite(a_const) and a_const > 0):
-        raise DomainError(
-            "amplitude_const must be a finite positive real, got {!r}".format(a_const)
-        )
+    check_real("amplitude_const", a_const, positive=True)
 
     def f(tau: float) -> float:
         return _log_deficit(model, tau, order, a_const)
 
     # Right-to-left scan of a log grid isolates the *largest* sign
     # change first, which is the advertised root convention.
-    n = _SCAN_POINTS
-    ratio = _BRACKET_HI / _BRACKET_LO
-    grid = [_BRACKET_LO * ratio ** (i / (n - 1)) for i in range(n)]
+    grid = time_grid(_BRACKET_LO, _BRACKET_HI, _SCAN_POINTS, "log")
     f_hi = f(grid[-1])
     lo = hi = None
-    f_lo = None
-    for i in range(n - 2, -1, -1):
+    for i in range(_SCAN_POINTS - 2, -1, -1):
         f_cur = f(grid[i])
         if f_cur > 0.0 and f_hi <= 0.0:
-            lo, hi, f_lo = grid[i], grid[i + 1], f_cur
+            lo, hi = grid[i], grid[i + 1]
             break
         f_hi = f_cur
     if lo is None:
@@ -172,11 +167,7 @@ def survivor_count(p_at_t: float, n_created: float,
     if not (isinstance(p_at_t, (int, float)) and math.isfinite(p_at_t)
             and 0.0 <= p_at_t <= 1.0):
         raise DomainError("p_at_t must lie in [0, 1], got {!r}".format(p_at_t))
-    if not (isinstance(n_created, (int, float)) and math.isfinite(n_created)
-            and n_created > 0):
-        raise DomainError(
-            "n_created must be a finite positive real, got {!r}".format(n_created)
-        )
+    check_real("n_created", n_created, positive=True)
     if not (isinstance(threshold, (int, float)) and threshold > 0):
         raise DomainError("threshold must be positive, got {!r}".format(threshold))
     expected = p_at_t * n_created

@@ -9,7 +9,8 @@ dimensionless pair
 so this module is the only place physical units appear: construction,
 the tau <-> t maps, and the density itself.  It also owns the domain of
 the dimensionless pair: :func:`check_beta` and :func:`check_tau` are the
-one validator of each for the whole package.
+one validator of each for the whole package, and :func:`check_real` is
+the one check of every other real-valued parameter.
 """
 
 from __future__ import annotations
@@ -24,6 +25,14 @@ def check_beta(beta: float) -> None:
     """Raise DomainError unless ``beta`` is a finite positive real."""
     if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
         raise DomainError("beta must be a finite positive real, got {!r}".format(beta))
+
+
+def check_real(name: str, value: float, positive: bool = False) -> None:
+    """Raise DomainError unless ``value`` is a finite real (and > 0 if ``positive``)."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value)
+            and (value > 0 or not positive)):
+        raise DomainError("{} must be a finite {}real, got {!r}".format(
+            name, "positive " if positive else "", value))
 
 
 def check_tau(tau: float, hint: str = "", zero_ok: bool = False) -> None:
@@ -67,9 +76,7 @@ class BreitWignerModel:
 
     def __post_init__(self):
         for name in ("e0", "gamma0", "emin", "hbar"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise DomainError("{} must be a finite real, got {!r}".format(name, v))
+            check_real(name, getattr(self, name))
         if self.gamma0 <= 0:
             raise DomainError("gamma0 must be > 0, got {!r}".format(self.gamma0))
         if self.hbar <= 0:

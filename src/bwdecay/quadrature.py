@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ToleranceNotMet
-from .model import BreitWignerModel, check_beta, check_tau
+from .model import BreitWignerModel, check_beta, check_real, check_tau
 
 _TWO_PI = 2.0 * math.pi
 
@@ -60,12 +60,14 @@ class QuadratureSettings:
     max_subdivisions: int = 10_000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("tolerances must be positive")
+        check_real("rel_tol", self.rel_tol, positive=True)
+        check_real("abs_tol", self.abs_tol, positive=True)
+        check_real("eta_max", self.eta_max)
         if not self.eta_max > 1:
             raise DomainError("eta_max must exceed 1, got {!r}".format(self.eta_max))
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
+        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
+            raise DomainError("max_subdivisions must be an integer >= 1, got {!r}".format(
+                self.max_subdivisions))
 
 
 _DEFAULT_SETTINGS = QuadratureSettings()
@@ -76,6 +78,22 @@ def quad(*args, **kwargs):
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)
+
+
+def _budget(value: complex, settings: QuadratureSettings) -> float:
+    # the error contract: what an estimate for `value` may not exceed
+    return settings.rel_tol * abs(value) + settings.abs_tol
+
+
+def _quad_options(settings: QuadratureSettings) -> dict:
+    # a quarter of the error budget per real quadrature, so that two of
+    # them plus the analytic tail stay inside the contract
+    return dict(
+        limit=settings.max_subdivisions,
+        epsabs=0.25 * settings.abs_tol,
+        epsrel=0.25 * settings.rel_tol,
+        full_output=1,
+    )
 
 
 def _f_i(eta: float) -> float:
@@ -109,14 +127,8 @@ def _f_j_second(eta: float) -> float:
 def _oscillatory_piece(f, a: float, b: float, omega: float,
                        settings: QuadratureSettings) -> tuple[complex, float]:
     # integral of f(eta)*exp(-i*omega*eta) over (a, b) as two weighted
-    # real quadratures; each gets a quarter of the error budget so the
-    # combined estimate stays inside the contract.
-    kwargs = dict(
-        limit=settings.max_subdivisions,
-        epsabs=0.25 * settings.abs_tol,
-        epsrel=0.25 * settings.rel_tol,
-        full_output=1,
-    )
+    # real quadratures
+    kwargs = _quad_options(settings)
     res_cos = quad(f, a, b, weight="cos", wvar=omega, **kwargs)
     res_sin = quad(f, a, b, weight="sin", wvar=omega, **kwargs)
     value = complex(res_cos[0], -res_sin[0])
@@ -159,7 +171,7 @@ def _fourier_with_tail(f, f_prime, f_second, a: float, omega: float,
         )
         tail_err = abs(f_second(upper)) / abs(omega) ** 3
         value = body + boundary
-        budget = settings.rel_tol * abs(value) + settings.abs_tol
+        budget = _budget(value, settings)
         # done, beyond help, or failing through the quadrature (not the
         # tail), where a longer range cannot improve matters
         if (err + tail_err <= budget or attempt == 3 or upper >= 1e9
@@ -174,7 +186,7 @@ def _fourier_with_tail(f, f_prime, f_second, a: float, omega: float,
 
 def _enforce(value: complex, err: float, settings: QuadratureSettings,
              what: str) -> complex:
-    bound = settings.rel_tol * abs(value) + settings.abs_tol
+    bound = _budget(value, settings)
     if err > bound:
         raise ToleranceNotMet(
             "{} error estimate {:.3e} exceeds the contracted bound {:.3e}".format(
@@ -183,6 +195,35 @@ def _enforce(value: complex, err: float, settings: QuadratureSettings,
             achieved=err,
         )
     return value
+
+
+# (f, f', f'', residue factor, odd?) of each kernel: the integrand and
+# the two derivatives its analytic tail needs, and the full-line
+# transform (the residue at eta = -i/2) over exp(-|omega|/2), from
+# which the cancellation escape subtracts the lower wing
+_KERNEL_I = (_f_i, _f_i_prime, _f_i_second, _TWO_PI, False)
+_KERNEL_J = (_f_j, _f_j_prime, _f_j_second, -1j * math.pi, True)
+
+
+def _half_line(kernel, beta: float, omega: float,
+               settings: QuadratureSettings) -> tuple[complex, float]:
+    # integral over (-beta, inf) for omega != 0 (omega > 0 for the odd
+    # kernel, whose full-line transform flips sign with omega)
+    f, f_prime, f_second, full_line, odd = kernel
+    value, err = _fourier_with_tail(f, f_prime, f_second, -beta, omega, settings)
+    if err > _budget(value, settings):
+        # At large beta*|omega| the result is exponentially smaller than
+        # the integrand's L1 mass and the rule cannot certify past its
+        # roundoff floor.  Split off the full-line transform (elementary
+        # residue at eta = -i/2) and integrate only the wing below the
+        # lower limit, whose scale matches what survives; the odd
+        # kernel's wing enters with the opposite sign, f_J(-eta) = -f_J(eta).
+        pole = full_line * math.exp(-0.5 * abs(omega))
+        wing, wing_err = _fourier_with_tail(f, f_prime, f_second, beta, -omega,
+                                            settings)
+        if wing_err < err:
+            value, err = (pole + wing if odd else pole - wing), wing_err
+    return value, err
 
 
 # A quadrature scan row asks for I twice at one point, through the
@@ -196,31 +237,12 @@ def _i_signed(beta: float, omega: float,
     # case, the opposite sign exists so conjugation symmetry can be
     # verified by an honest reevaluation rather than by construction.
     if omega == 0.0:
-        kwargs = dict(
-            limit=settings.max_subdivisions,
-            epsabs=0.25 * settings.abs_tol,
-            epsrel=0.25 * settings.rel_tol,
-            full_output=1,
-        )
-        res = quad(_f_i, -beta, settings.eta_max, **kwargs)
+        res = quad(_f_i, -beta, settings.eta_max, **_quad_options(settings))
         # exact antiderivative of f_I is 2*arctan(2*eta); the tail
         # correction is therefore exact, contributing no error.
         tail = math.pi - 2.0 * math.atan(2.0 * settings.eta_max)
         return complex(res[0] + tail, 0.0), res[1]
-    value, err = _fourier_with_tail(_f_i, _f_i_prime, _f_i_second,
-                                    -beta, omega, settings)
-    if err > settings.rel_tol * abs(value) + settings.abs_tol:
-        # At large beta*|omega| the result is exponentially smaller than
-        # the integrand's L1 mass and the rule cannot certify past its
-        # roundoff floor.  Split off the full-line transform (elementary
-        # residue at eta = -i/2) and integrate only the wing below the
-        # lower limit, whose scale matches what survives.
-        pole = _TWO_PI * math.exp(-0.5 * abs(omega))
-        wing, wing_err = _fourier_with_tail(_f_i, _f_i_prime, _f_i_second,
-                                            beta, -omega, settings)
-        if wing_err < err:
-            value, err = pole - wing, wing_err
-    return value, err
+    return _half_line(_KERNEL_I, beta, omega, settings)
 
 
 def i_by_quadrature(beta: float, tau: float,
@@ -261,17 +283,7 @@ def j_by_quadrature(beta: float, tau: float,
     check_tau(tau, hint=" (J diverges logarithmically at tau = 0)")
     s = settings or _DEFAULT_SETTINGS
     tau = float(tau)
-    value, err = _fourier_with_tail(_f_j, _f_j_prime, _f_j_second,
-                                    -beta, tau, s)
-    if err > s.rel_tol * abs(value) + s.abs_tol:
-        # same cancellation escape as for I; the odd kernel's full-line
-        # transform is -i*pi*exp(-tau/2) and its wing enters with the
-        # opposite sign because f_J(-eta) = -f_J(eta)
-        pole = -1j * math.pi * math.exp(-0.5 * tau)
-        wing, wing_err = _fourier_with_tail(_f_j, _f_j_prime, _f_j_second,
-                                            beta, -tau, s)
-        if wing_err < err:
-            value, err = pole + wing, wing_err
+    value, err = _half_line(_KERNEL_J, beta, tau, s)
     return _enforce(value, err, s, "J({}) quadrature".format(tau))
 
 

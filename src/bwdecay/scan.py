@@ -2,9 +2,10 @@
 
 A scan walks a tau grid and records, per point, the survival
 probability and the effective-Hamiltonian observables, through one of
-three computational routes: the closed-form path ("exact"), the
-late-time series ("asymptotic"), or the integration oracle
-("quadrature").  Rows are plain records; rendering belongs to the CLI.
+three computational paths: the closed forms ("exact"), the late-time
+series ("asymptotic"), or the integration oracle ("quadrature").  Every
+path ends in the same (E, gamma) map and probability check of
+``survival``.  Rows are plain records; rendering belongs to the CLI.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from .errors import DomainError
 from .model import BreitWignerModel, check_tau
 from .quadrature import (QuadratureSettings, amplitude_by_quadrature,
                          i_by_quadrature, j_by_quadrature)
-from .survival import P_SLACK, effective_hamiltonian, survival_probability
+from .survival import (checked_probability, effective_hamiltonian,
+                       energy_and_rate, survival_probability)
 
 METHODS = ("exact", "asymptotic", "quadrature")
 
@@ -50,6 +52,8 @@ def time_grid(tau_min: float, tau_max: float, points: int, kind: str = "log") ->
     The endpoints are produced exactly (no accumulated stepping error),
     so repeated calls with the same arguments give identical grids.
     """
+    if not isinstance(points, int):
+        raise DomainError("points must be an integer, got {!r}".format(points))
     if points < 2:
         raise DomainError("points must be >= 2, got {!r}".format(points))
     if kind not in ("linear", "log"):
@@ -72,15 +76,6 @@ def time_grid(tau_min: float, tau_max: float, points: int, kind: str = "log") ->
     return grid
 
 
-def _checked_p(p: float, tau: float, method: str) -> float:
-    if not 0.0 <= p <= 1.0 + P_SLACK:
-        raise ArithmeticError(
-            "survival probability {!r} out of [0, 1 + 1e-9] at tau = {!r} "
-            "({} method); this indicates an internal defect".format(p, tau, method)
-        )
-    return p
-
-
 def _row(model: BreitWignerModel, tau: float, p: float, energy: float | None,
          rate: float | None, method: str) -> ScanRow:
     # energy and rate are None at tau = 0, where h is undefined
@@ -92,7 +87,7 @@ def _row(model: BreitWignerModel, tau: float, p: float, energy: float | None,
 
 
 def _exact_row(model: BreitWignerModel, tau: float) -> ScanRow:
-    p = _checked_p(survival_probability(model, tau), tau, "exact")
+    p = survival_probability(model, tau)
     if tau == 0:
         return _row(model, tau, p, None, None, "exact")
     h = effective_hamiltonian(model, tau)
@@ -106,19 +101,19 @@ def _asymptotic_row(model: BreitWignerModel, tau: float, terms: int) -> ScanRow:
     # refuses tau <= 0.
     amp = amplitude_late(model, tau, min(terms, _MAX_AMPLITUDE_TERMS))
     r = ratio_series(model.beta, tau, terms)
-    return _row(model, tau, abs(amp) ** 2, model.beta + r.real, -2.0 * r.imag,
+    return _row(model, tau, abs(amp) ** 2, *energy_and_rate(model.beta, r),
                 "asymptotic")
 
 
 def _quadrature_row(model: BreitWignerModel, tau: float,
                     settings: QuadratureSettings | None) -> ScanRow:
-    p = _checked_p(abs(amplitude_by_quadrature(model, tau, settings)) ** 2,
-                   tau, "quadrature")
+    amp = amplitude_by_quadrature(model, tau, settings)
+    p = checked_probability(abs(amp) ** 2, tau)
     if tau == 0:
         return _row(model, tau, p, None, None, "quadrature")
     r = j_by_quadrature(model.beta, tau, settings) \
         / i_by_quadrature(model.beta, tau, settings)
-    return _row(model, tau, p, model.beta + r.real, -2.0 * r.imag, "quadrature")
+    return _row(model, tau, p, *energy_and_rate(model.beta, r), "quadrature")
 
 
 def scan_rows(model: BreitWignerModel, taus, method: str = "exact",
@@ -131,7 +126,7 @@ def scan_rows(model: BreitWignerModel, taus, method: str = "exact",
     model : BreitWignerModel
     taus : iterable of float
         Dimensionless times; tau = 0 is representable only by the exact
-        and quadrature routes (and yields None Hamiltonian fields).
+        and quadrature methods (and yields None Hamiltonian fields).
     method : {"exact", "asymptotic", "quadrature"}
     terms : int, optional
         Series truncation for the asymptotic method (1..5; the

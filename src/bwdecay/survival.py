@@ -35,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NearZeroAmplitude
+from .errors import NearZeroAmplitude
 from .model import BreitWignerModel, check_beta, check_tau
 from .special import exp_integral_e1_scaled
 
@@ -48,6 +48,32 @@ _NEAR_ZERO = 1e-280
 # Probability conservation slack: |a|**2 may poke above 1 by roundoff
 # or by the oracle's tolerance, never by more.
 P_SLACK = 1e-9
+
+
+def checked_probability(p: float, tau: float) -> float:
+    """Return ``p`` unchanged if it lies in [0, 1 + P_SLACK].
+
+    Raises
+    ------
+    ArithmeticError
+        For a NaN or a value outside that range, which no roundoff can
+        explain.
+    """
+    if not 0.0 <= p <= 1.0 + P_SLACK:
+        raise ArithmeticError(
+            "survival probability {!r} out of [0, 1 + 1e-9] at tau = {!r}; "
+            "this indicates an internal defect".format(p, tau)
+        )
+    return p
+
+
+def energy_and_rate(beta: float, r: complex) -> tuple[float, float]:
+    """(E - Emin)/gamma0 and gamma/gamma0 from the ratio r = J/I.
+
+    E = E0 + gamma0 Re r and gamma = -2 gamma0 Im r; every path to the
+    two observables goes through this map.
+    """
+    return beta + r.real, -2.0 * r.imag
 
 
 @dataclass(frozen=True)
@@ -68,16 +94,10 @@ class AmplitudeValue:
         Raises
         ------
         ArithmeticError
-            If |value|**2 exceeds 1 + P_SLACK, which no roundoff can
-            explain.
+            From :func:`checked_probability`, if |value|**2 is NaN or
+            exceeds 1 + P_SLACK.
         """
-        p = abs(self.value) ** 2
-        if p > 1.0 + P_SLACK:
-            raise ArithmeticError(
-                "survival probability {!r} exceeds 1 + 1e-9 at tau = {!r}; "
-                "this indicates an internal defect".format(p, self.tau)
-            )
-        return min(p, 1.0)
+        return min(checked_probability(abs(self.value) ** 2, self.tau), 1.0)
 
 
 @dataclass(frozen=True)
@@ -225,23 +245,12 @@ def survival_probability(model: BreitWignerModel, tau: float) -> float:
     return amplitude(model, tau).probability
 
 
-def _j_over_i(beta: float, tau: float) -> complex:
-    check_beta(beta)
-    check_tau(tau, hint=" (the mean energy diverges at t = 0)")
-    i_pole, i_tail, j_pole, j_tail = _pieces(beta, tau)
-    i_val = i_pole + i_tail
-    j_val = j_pole + j_tail
-    if abs(i_val) < _NEAR_ZERO:
-        raise NearZeroAmplitude(
-            "|I({})| = {:.3e} is below 1e-280; the ratio J/I is unreliable "
-            "this deep into underflow".format(tau, abs(i_val))
-        )
-    return j_val / i_val
-
-
-def effective_hamiltonian(model: BreitWignerModel, tau: float,
-                          route: str = "ratio") -> EffectiveHamiltonianValue:
+def effective_hamiltonian(model: BreitWignerModel,
+                          tau: float) -> EffectiveHamiltonianValue:
     """Instantaneous effective Hamiltonian h(tau), split into (E, gamma).
+
+    Forms h = E0 + gamma0 J/I from the scaled closed forms, so it works
+    arbitrarily late (underflow-safe).
 
     Parameters
     ----------
@@ -250,14 +259,6 @@ def effective_hamiltonian(model: BreitWignerModel, tau: float,
         Dimensionless time, > 0.  At t = 0 the Breit-Wigner mean energy
         diverges logarithmically, so the API refuses the point instead
         of returning a large number.
-    route : {"ratio", "brace"}
-        Two algebraically equivalent closed forms kept deliberately
-        separate as a cross-check.  "ratio" forms h = E0 + gamma0 J/I
-        and works arbitrarily late (underflow-safe).  "brace" evaluates
-        the same quantity from the unscaled brace combination exp(tau)
-        E1(z+) +/- E1(z-) and overflows past tau ~ 1400; it exists to
-        catch algebra or implementation errors in "ratio", not for
-        production use.
 
     Returns
     -------
@@ -267,40 +268,57 @@ def effective_hamiltonian(model: BreitWignerModel, tau: float,
     Raises
     ------
     DomainError
-        For tau <= 0 or an unknown route.
+        For tau <= 0.
     NearZeroAmplitude
         When |I| < 1e-280 and the ratio would be garbage.
     """
     beta = model.beta
-    if route == "ratio":
-        r = _j_over_i(beta, tau)
-        return EffectiveHamiltonianValue(energy=beta + r.real,
-                                         rate=-2.0 * r.imag, tau=float(tau))
-    if route == "brace":
-        check_beta(beta)
-        check_tau(tau, hint=" (the mean energy diverges at t = 0)")
-        g_plus, g_minus = _g_pair(beta, tau)
-        # exp(tau/2) overflows past tau ~ 1419; genuine limit of this route.
-        grow = math.exp(0.5 * tau) * cmath.exp(1j * beta * tau)
-        s_plus = grow * g_plus
-        s_minus = grow * g_minus
-        coef = 1j / _TWO_PI
-        numer = 1.0 + coef * (s_plus + s_minus)
-        denom = 1.0 - coef * (s_plus - s_minus)
-        if abs(denom) < _NEAR_ZERO:
-            raise NearZeroAmplitude(
-                "brace denominator vanished at tau = {}".format(tau)
-            )
-        h_rel = beta - 0.5j * (numer / denom)
-        return EffectiveHamiltonianValue(energy=h_rel.real,
-                                         rate=-2.0 * h_rel.imag, tau=float(tau))
-    raise DomainError("route must be 'ratio' or 'brace', got {!r}".format(route))
+    check_beta(beta)
+    check_tau(tau, hint=" (the mean energy diverges at t = 0)")
+    i_pole, i_tail, j_pole, j_tail = _pieces(beta, tau)
+    i_val = i_pole + i_tail
+    if abs(i_val) < _NEAR_ZERO:
+        raise NearZeroAmplitude(
+            "|I({})| = {:.3e} is below 1e-280; the ratio J/I is unreliable "
+            "this deep into underflow".format(tau, abs(i_val))
+        )
+    energy, rate = energy_and_rate(beta, (j_pole + j_tail) / i_val)
+    return EffectiveHamiltonianValue(energy=energy, rate=rate, tau=float(tau))
+
+
+def effective_hamiltonian_brace(model: BreitWignerModel,
+                                tau: float) -> EffectiveHamiltonianValue:
+    """The same h(tau) as :func:`effective_hamiltonian`, by another algebra.
+
+    Evaluates J/I from the unscaled brace combination exp(tau) E1(z+)
+    +/- E1(z-), so it overflows past tau ~ 1419.  It is a reference
+    that catches algebra or implementation errors in the scaled path,
+    not a production path.
+    """
+    beta = model.beta
+    check_beta(beta)
+    check_tau(tau, hint=" (the mean energy diverges at t = 0)")
+    g_plus, g_minus = _g_pair(beta, tau)
+    grow = math.exp(0.5 * tau) * cmath.exp(1j * beta * tau)
+    s_plus = grow * g_plus
+    s_minus = grow * g_minus
+    coef = 1j / _TWO_PI
+    numer = 1.0 + coef * (s_plus + s_minus)
+    denom = 1.0 - coef * (s_plus - s_minus)
+    if abs(denom) < _NEAR_ZERO:
+        raise NearZeroAmplitude(
+            "brace denominator vanished at tau = {}".format(tau)
+        )
+    energy, rate = energy_and_rate(beta, -0.5j * (numer / denom))
+    return EffectiveHamiltonianValue(energy=energy, rate=rate, tau=float(tau))
 
 
 def kappa(model: BreitWignerModel, tau: float) -> float:
     """Normalized instantaneous energy (E(tau) - Emin)/(E0 - Emin).
 
-    Equals 1 + Re[J/I]/beta; starts near 1 in the canonical era and
-    tends to 0 (energy relaxes to the spectrum edge) as tau -> inf.
+    Equals ``energy / beta`` of :func:`effective_hamiltonian`, bit for
+    bit the ``kappa`` column of a scan; starts near 1 in the canonical
+    era and tends to 0 (energy relaxes to the spectrum edge) as
+    tau -> inf.
     """
-    return 1.0 + _j_over_i(model.beta, tau).real / model.beta
+    return effective_hamiltonian(model, tau).energy / model.beta

@@ -112,6 +112,23 @@ def test_warns_outside_validity_range():
         ratio_series(10.0, 0.1, 5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: i_series(10.0, 0.1, 5),
+        lambda: j_series(10.0, 0.1, 5),
+        lambda: ratio_series(10.0, 0.1, 5),
+        lambda: amplitude_late(BreitWignerModel.from_beta(10.0), 0.1, 4),
+    ],
+)
+def test_range_warning_points_at_the_caller(call):
+    # the warning names the line that called the public function, not
+    # a line inside the package
+    with pytest.warns(AsymptoticRangeWarning) as caught:
+        call()
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_no_warning_deep_in_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -221,6 +238,21 @@ def test_running_constant_is_affine_in_density(rho, d2, d4, t):
 def test_running_constant_rejects_nonpositive_time():
     with pytest.raises(DomainError):
         lambda_of_t(1.0, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "slot,bad",
+    [(slot, bad) for slot in ("rho_bare", "d2", "d4", "g_newton", "light_speed")
+     for bad in (math.nan, math.inf, -math.inf)]
+    + [(slot, bad) for slot in ("g_newton", "light_speed") for bad in (0.0, -1.0)],
+)
+def test_running_constant_rejects_bad_inputs(slot, bad):
+    args = dict(rho_bare=1.0, d2=2.0, d4=3.0, g_newton=1.0, light_speed=1.0)
+    args[slot] = bad
+    with pytest.raises(DomainError):
+        lambda_of_t(t=1.5, **args)
+    with pytest.raises(DomainError):
+        lambda_coefficients(**args)
 
 
 def test_coefficient_bundle_invariant():

@@ -31,6 +31,14 @@ def _rel(a, b):
         dict(eta_max=1.0),
         dict(eta_max=-5.0),
         dict(max_subdivisions=0),
+        dict(eta_max=math.inf),
+        dict(eta_max=math.nan),
+        dict(rel_tol=math.inf),
+        dict(rel_tol=math.nan),
+        dict(abs_tol=math.inf),
+        dict(max_subdivisions=2.5),
+        dict(max_subdivisions=math.nan),
+        dict(max_subdivisions="10"),
     ],
 )
 def test_settings_validation(kwargs):

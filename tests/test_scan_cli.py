@@ -42,6 +42,9 @@ class TestTimeGrid:
             (1.0, 10.0, 1, "log"),
             (1.0, 10.0, 50, "cubic"),
             (-1.0, 10.0, 50, "linear"),
+            (0.01, 40.0, 10.0, "log"),
+            (0.01, 40.0, "10", "log"),
+            (0.01, 40.0, None, "linear"),
         ],
     )
     def test_rejects_bad_grids(self, args):

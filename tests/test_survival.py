@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bwdecay.errors import DomainError, NearZeroAmplitude
 from bwdecay.model import BreitWignerModel
+from bwdecay.scan import scan_rows, time_grid
 from bwdecay.survival import (
     AmplitudeValue,
     EffectiveHamiltonianValue,
@@ -16,6 +17,7 @@ from bwdecay.survival import (
     chi,
     chi_derivative,
     effective_hamiltonian,
+    effective_hamiltonian_brace,
     i_beta,
     i_beta_at_zero,
     j_beta,
@@ -137,6 +139,12 @@ def test_probability_clips_roundoff_overshoot():
     assert v.probability == 1.0
 
 
+def test_probability_refuses_nan():
+    v = AmplitudeValue(value=complex(math.nan, 0.0), tau=1.0)
+    with pytest.raises(ArithmeticError):
+        v.probability
+
+
 def test_probability_refuses_overshoot_beyond_roundoff():
     # the conservation bound is checked on the unclipped |a|**2
     v = AmplitudeValue(value=complex(1.0 + 1e-6, 0.0), tau=0.1)
@@ -187,23 +195,18 @@ def test_late_time_rate_frozen_point():
 @pytest.mark.parametrize("beta,tau", [(2.0, 5.0), (10.0, 5.0), (100.0, 12.0)])
 def test_brace_route_agrees_with_ratio_route(beta, tau):
     m = BreitWignerModel.from_beta(beta)
-    ha = effective_hamiltonian(m, tau, route="ratio")
-    hb = effective_hamiltonian(m, tau, route="brace")
+    ha = effective_hamiltonian(m, tau)
+    hb = effective_hamiltonian_brace(m, tau)
     assert hb.h == pytest.approx(ha.h, rel=1e-12)
 
 
 def test_brace_route_overflows_where_documented():
-    # the cross-check route multiplies by e^{tau/2} and dies near
-    # tau ~ 1419; the primary route keeps going
+    # the brace reference multiplies by e^{tau/2} and dies near
+    # tau ~ 1419; the production path keeps going
     m = BreitWignerModel.from_beta(10.0)
     with pytest.raises(OverflowError):
-        effective_hamiltonian(m, 1500.0, route="brace")
+        effective_hamiltonian_brace(m, 1500.0)
     assert math.isfinite(effective_hamiltonian(m, 1500.0).rate)
-
-
-def test_unknown_route_rejected():
-    with pytest.raises(DomainError):
-        effective_hamiltonian(BreitWignerModel.from_beta(2.0), 5.0, route="magic")
 
 
 def test_effective_hamiltonian_rejects_nonpositive_time():
@@ -238,6 +241,14 @@ def test_kappa_tracks_energy_ratio():
     m = BreitWignerModel.from_beta(10.0)
     h = effective_hamiltonian(m, 7.0)
     assert kappa(m, 7.0) == pytest.approx(h.energy / 10.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, 10.0, 100.0])
+def test_kappa_is_the_scan_column(beta):
+    # one (E, gamma) map: kappa() and the printed column agree bit for bit
+    m = BreitWignerModel.from_beta(beta)
+    for tau in time_grid(0.01, 40.0, 100, "log"):
+        assert repr(kappa(m, tau)) == repr(scan_rows(m, [tau])[0].kappa), tau
 
 
 def test_kappa_late_time_scaling():
