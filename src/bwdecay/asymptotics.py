@@ -219,12 +219,18 @@ def decay_rate_late(model: BreitWignerModel, tau: float) -> float:
 
 def _lambda_factor(rho_bare: float, d2: float, d4: float,
                    g_newton: float, light_speed: float) -> float:
-    # the one check of the Lambda(t) inputs; returns 8 pi G / c**2
+    # the one check of the Lambda(t) inputs; returns 8 pi G / c**2,
+    # divided by c twice so that no finite c overflows c**2 on the way
     for name, value in (("rho_bare", rho_bare), ("d2", d2), ("d4", d4)):
         check_real(name, value)
     check_real("G", g_newton, positive=True)
     check_real("c", light_speed, positive=True)
-    return 8.0 * math.pi * g_newton / light_speed ** 2
+    factor = 8.0 * math.pi * g_newton / light_speed / light_speed
+    if not math.isfinite(factor):
+        raise DomainError(
+            "8 pi G / c**2 overflows for G = {!r}, c = {!r}".format(
+                g_newton, light_speed))
+    return factor
 
 
 def lambda_of_t(rho_bare: float, d2: float, d4: float, t: float,
@@ -235,7 +241,7 @@ def lambda_of_t(rho_bare: float, d2: float, d4: float, t: float,
     onto Lambda(t) = (8 pi G / c**2) rho(t).  The coefficients d2, d4
     are free inputs here; nothing in this package pins them to the
     energy expansion beyond proportionality.  Every input must be
-    finite, and t, G and c positive.
+    finite, t, G and c positive, and 8 pi G / c**2 finite.
     """
     check_real("t", t, positive=True)
     factor = _lambda_factor(rho_bare, d2, d4, g_newton, light_speed)

@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import fields
 
 from . import __version__
 from .asymptotics import AsymptoticRangeWarning
@@ -31,12 +30,32 @@ from .scan import METHODS, ScanRow, scan_rows, time_grid
 
 _CONFIG_KEYS = ("beta", "e0", "gamma0", "emin", "hbar")
 _MODEL_DEFAULTS = {"gamma0": 1.0, "emin": 0.0, "hbar": 1.0}
+_INF = float("inf")
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
     return "{:.17g}".format(value)
+
+
+def _json_value(value) -> str:
+    """``value`` spelled as ``json.dumps`` spells it.
+
+    json spells a finite float with ``float.__repr__``; everything else
+    (None, NaN, the infinities, strings) goes through json itself.
+    """
+    if value.__class__ is float and -_INF < value < _INF:
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+# One scan row as CSV, for tau > 0 where every column but the last
+# (method) is a float, and as a json.dumps(..., indent=2) member of the
+# "rows" list.
+_CSV_ROW = ",".join(["{:.17g}"] * (len(ScanRow._fields) - 1) + ["{}"])
+_JSON_ROW = "    {{\n" + ",\n".join(
+    "      " + json.dumps(name) + ": {}" for name in ScanRow._fields) + "\n    }}"
 
 
 def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
@@ -127,16 +146,19 @@ def _cmd_scan(args, model: BreitWignerModel) -> int:
         lines = [] if meta is None else ["# bwdecay scan " + " ".join(
             "{}={}".format(k, v if isinstance(v, str) else _fmt(v))
             for k, v in meta.items())]
-        lines.append(",".join(f.name for f in fields(ScanRow)))
-        lines.extend(",".join((
-            _fmt(r.tau), _fmt(r.p), _fmt(r.kappa), _fmt(r.gamma_ratio),
-            _fmt(r.re_h), _fmt(r.im_h), r.method,
-        )) for r in rows)
+        lines.append(",".join(ScanRow._fields))
+        # the tau = 0 row has empty Hamiltonian fields
+        lines.extend(_CSV_ROW.format(*r) if r.kappa is not None else
+                     ",".join([_fmt(v) for v in r[:-1]] + [r.method])
+                     for r in rows)
         text = "\n".join(lines) + "\n"
     else:
-        payload = {} if meta is None else {"meta": meta}
-        payload["rows"] = [vars(r) for r in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        # the bytes json.dumps(..., indent=2) gives for {"meta": meta,
+        # "rows": [row._asdict(), ...]}, without its pure-Python encoder
+        head = "{\n" if meta is None else '{{\n  "meta": {},\n'.format(
+            json.dumps(meta, indent=2).replace("\n", "\n  "))
+        text = head + '  "rows": [\n' + ",\n".join(
+            _JSON_ROW.format(*map(_json_value, r)) for r in rows) + "\n  ]\n}\n"
     _write_text(text, args.out)
     return 0
 

@@ -98,8 +98,7 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
         If 200 bisection steps leave |F| above ``tol``.
     """
     _check_order(order, 4)
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise DomainError("tol must be positive, got {!r}".format(tol))
+    check_real("tol", tol, positive=True)
     a_const = model.normalization() if amplitude_const is None else amplitude_const
     check_real("amplitude_const", a_const, positive=True)
 
@@ -168,7 +167,6 @@ def survivor_count(p_at_t: float, n_created: float,
             and 0.0 <= p_at_t <= 1.0):
         raise DomainError("p_at_t must lie in [0, 1], got {!r}".format(p_at_t))
     check_real("n_created", n_created, positive=True)
-    if not (isinstance(threshold, (int, float)) and threshold > 0):
-        raise DomainError("threshold must be positive, got {!r}".format(threshold))
+    check_real("threshold", threshold, positive=True)
     expected = p_at_t * n_created
     return SurvivorCount(expected=expected, resolvable=expected > threshold)

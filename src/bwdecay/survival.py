@@ -235,14 +235,24 @@ def amplitude(model: BreitWignerModel, tau: float) -> AmplitudeValue:
     """
     if tau == 0:
         return AmplitudeValue(complex(1.0, 0.0), 0.0)
-    val = (model.normalization() / _TWO_PI) \
+    return AmplitudeValue(_amplitude(model, tau), float(tau))
+
+
+def _amplitude(model: BreitWignerModel, tau: float) -> complex:
+    # the value of amplitude(), without the record around it
+    if tau == 0:
+        return complex(1.0, 0.0)
+    return (model.normalization() / _TWO_PI) \
         * cmath.exp(-1j * model.beta * tau) * i_beta(model.beta, tau)
-    return AmplitudeValue(val, float(tau))
 
 
 def survival_probability(model: BreitWignerModel, tau: float) -> float:
-    """Decay law P(tau) = |a(tau)|**2, roundoff above 1 clipped to 1."""
-    return amplitude(model, tau).probability
+    """Decay law P(tau) = |a(tau)|**2, roundoff above 1 clipped to 1.
+
+    The same float as ``amplitude(model, tau).probability``, with the
+    same check.
+    """
+    return min(checked_probability(abs(_amplitude(model, tau)) ** 2, tau), 1.0)
 
 
 def effective_hamiltonian(model: BreitWignerModel,

@@ -255,6 +255,26 @@ def test_running_constant_rejects_bad_inputs(slot, bad):
         lambda_coefficients(**args)
 
 
+@pytest.mark.parametrize("g_newton,light_speed",
+                         [(1.0, 1e-200), (1e300, 1e-10), (1e200, 1e-60)])
+def test_running_constant_refuses_an_infinite_factor(g_newton, light_speed):
+    # every input is finite, but 8 pi G / c**2 is not
+    args = dict(rho_bare=1.0, d2=2.0, d4=3.0, g_newton=g_newton,
+                light_speed=light_speed)
+    with pytest.raises(DomainError):
+        lambda_of_t(t=1.5, **args)
+    with pytest.raises(DomainError):
+        lambda_coefficients(**args)
+
+
+def test_running_constant_takes_a_large_light_speed():
+    # c**2 would overflow here; the factor itself is a tiny finite number
+    assert lambda_of_t(1.0, 0.0, 0.0, 5.0, light_speed=1e155) == pytest.approx(
+        EIGHT_PI * 1e-310, rel=1e-12)
+    assert lambda_of_t(1.0, 2.0, 3.0, 1.5, light_speed=1e200) == 0.0
+    assert lambda_coefficients(1.0, 2.0, 3.0, light_speed=1e200).lambda_bare == 0.0
+
+
 def test_coefficient_bundle_invariant():
     bundle = lambda_coefficients(2.0, 3.0, 4.0, g_newton=5.0, light_speed=2.0)
     assert isinstance(bundle, LambdaCoefficients)

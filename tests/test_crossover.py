@@ -140,6 +140,8 @@ def test_exact_probability_brackets_the_canonical_era():
         {"amplitude_const": 0.0},
         {"amplitude_const": -1.0},
         {"amplitude_const": math.inf},
+        {"tol": math.inf},
+        {"tol": math.nan},
     ],
 )
 def test_solver_rejects_bad_arguments(kwargs):
@@ -169,6 +171,7 @@ def test_survivor_count_threshold_is_a_parameter():
         (0.5, 0.0, {}),
         (0.5, -5.0, {}),
         (0.5, 10.0, {"threshold": 0.0}),
+        (0.5, 10.0, {"threshold": math.inf}),
     ],
 )
 def test_survivor_count_rejects_bad_arguments(p, n, kwargs):

@@ -1,19 +1,21 @@
 """What a call costs, and that the memos behind it cannot be seen.
 
 scipy is imported only by the quadrature oracle, on its first use, so
-the default paths never load it.  A scan row evaluates its integrals
-once: survival_probability and effective_hamiltonian share one E1 pair,
-and the quadrature amplitude and J/I share one integration of I.  The
-sharing goes through one-entry memos, which must never change a value
-or swallow an error.
+the default paths never load it; start-up does not load typing either.
+A scan row evaluates its integrals once: survival_probability and
+effective_hamiltonian share one E1 pair, and the quadrature amplitude
+and J/I share one integration of I.  The sharing goes through one-entry
+memos, which must never change a value or swallow an error.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import bwdecay
 from bwdecay import quadrature, survival
 from bwdecay.errors import ConvergenceError
 from bwdecay.model import BreitWignerModel
@@ -41,9 +43,19 @@ print(json.dumps(steps))
 """
 
 
+# python -S skips site and its .pth hooks, which may import typing
+# themselves, so whatever of these is loaded after the import, the
+# package loaded it.
+_BARE_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import bwdecay.cli
+print(" ".join(m for m in ("bwdecay.cli", "typing", "scipy") if m in sys.modules))
+"""
+
+
 def _bits(row):
-    return tuple(v.hex() if isinstance(v, float) else v
-                 for v in vars(row).values())
+    return tuple(v.hex() if isinstance(v, float) else v for v in row)
 
 
 def test_scipy_is_imported_only_by_the_quadrature_route():
@@ -53,6 +65,14 @@ def test_scipy_is_imported_only_by_the_quadrature_route():
     steps = json.loads(res.stdout)
     assert all(label.endswith("-> 0") for label, _ in steps[2:]), steps
     assert [loaded for _, loaded in steps] == [False] * 5 + [True], steps
+
+
+def test_bare_start_up_loads_neither_typing_nor_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bwdecay.__file__)))
+    res = subprocess.run([sys.executable, "-S", "-c", _BARE_PROBE.format(src=src)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["bwdecay.cli"]
 
 
 def test_exact_row_evaluates_one_e1_pair(monkeypatch):

@@ -2,14 +2,19 @@
 
 The CLI tests run the installed entry point in a subprocess so that
 exit codes and stream separation are exercised for real, not
-simulated.
+simulated.  The rendering tests call ``cli.main`` in-process and hold
+its stdout to a reference rendered from the same rows.
 """
 
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import pytest
 
+from bwdecay import __version__, cli
 from bwdecay.cli import _build_parser
 from bwdecay.errors import DomainError
 from bwdecay.model import BreitWignerModel
@@ -220,6 +225,83 @@ class TestScanCommand:
         assert first["tau"] == 0.0
         assert first["p"] == pytest.approx(1.0, abs=1e-12)
         assert first["kappa"] is None
+
+
+def _reference_scan_text(argv, rows):
+    """A scan's stdout as json.dumps(..., indent=2) or the per-field join
+    renders ``rows``: the renderer's specification, not its code."""
+    ns = _build_parser().parse_args(argv)
+    meta = {"beta": ns.beta, "method": ns.method, "grid": ns.grid,
+            "points": ns.points, "tau_min": ns.tau_min, "tau_max": ns.tau_max,
+            "terms": ns.terms, "version": __version__}
+    if ns.output == "json":
+        payload = {} if ns.no_meta else {"meta": meta}
+        payload["rows"] = [row._asdict() for row in rows]
+        return json.dumps(payload, indent=2) + "\n"
+
+    def fmt(v):
+        return "" if v is None else "{:.17g}".format(v)
+
+    lines = [] if ns.no_meta else ["# bwdecay scan " + " ".join(
+        "{}={}".format(k, v if isinstance(v, str) else fmt(v))
+        for k, v in meta.items())]
+    lines.append("tau,p,kappa,gamma_ratio,re_h,im_h,method")
+    lines += [",".join([fmt(v) for v in row[:6]] + [row.method]) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+RENDER_SCANS = [
+    ("--method", "exact", "--grid", "linear", "--tau-min", "0", "--tau-max", "30",
+     "--points", "41"),
+    ("--method", "exact", "--tau-min", "40", "--tau-max", "1e8", "--points", "33"),
+    ("--method", "asymptotic", "--tau-min", "0.5", "--tau-max", "1e4",
+     "--points", "31", "--terms", "3"),
+    ("--method", "quadrature", "--grid", "linear", "--tau-min", "0",
+     "--tau-max", "4", "--points", "5"),
+]
+
+
+class TestScanRendering:
+    @pytest.mark.parametrize("scan", RENDER_SCANS)
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    @pytest.mark.parametrize("no_meta", [False, True])
+    def test_matches_the_reference_rendering(self, scan, output, no_meta):
+        argv = ["scan", "--beta", "2.5", *scan, "--output", output]
+        if no_meta:
+            argv.append("--no-meta")
+        ns = _build_parser().parse_args(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = scan_rows(BreitWignerModel.from_beta(ns.beta),
+                             time_grid(ns.tau_min, ns.tau_max, ns.points, ns.grid),
+                             method=ns.method, terms=ns.terms)
+        assert _cli_stdout(argv) == _reference_scan_text(argv, rows)
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_non_finite_and_signed_zero_values(self, monkeypatch, output):
+        # no route prints these today; the renderer must still spell them
+        # as json.dumps and "{:.17g}" do
+        rows = [ScanRow(0.0, 1.0, None, None, None, None, "exact"),
+                ScanRow(1.0, math.nan, math.inf, -math.inf, -0.0, 1e-300, "exact"),
+                ScanRow(2.0, 5e-324, 1.7976931348623157e308, -1.0, 0.1, 3.0,
+                        "exact")]
+        monkeypatch.setattr(cli, "scan_rows", lambda *args, **kwargs: rows)
+        argv = ["scan", "--beta", "2", "--grid", "linear", "--tau-min", "0",
+                "--tau-max", "2", "--points", "3", "--output", output]
+        assert _cli_stdout(argv) == _reference_scan_text(argv, rows)
+
+    @pytest.mark.parametrize(
+        "value", [None, math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300,
+                  5e-324, 0.1, 1.7976931348623157e308, "exact"])
+    def test_value_function_spells_as_json(self, value):
+        assert cli._json_value(value) == json.dumps(value)
 
 
 class TestModelResolution:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwdecay.errors import DomainError, NearZeroAmplitude
+from bwdecay import survival
+from bwdecay.errors import ConvergenceError, DomainError, NearZeroAmplitude
 from bwdecay.model import BreitWignerModel
 from bwdecay.scan import scan_rows, time_grid
 from bwdecay.survival import (
@@ -120,6 +121,36 @@ def test_survival_probability_matches_amplitude():
     m = BreitWignerModel.from_beta(10.0)
     for tau in (0.0, 0.7, 12.0):
         assert survival_probability(m, tau) == amplitude(m, tau).probability
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, 10.0, 100.0])
+def test_survival_probability_has_the_bits_of_the_amplitude(beta):
+    # survival_probability skips the AmplitudeValue record, not a digit
+    m = BreitWignerModel.from_beta(beta)
+    taus = ([0.0] + time_grid(0.01, 40.0, 97, "log")
+            + time_grid(40.0, 1e8, 61, "log"))
+    for tau in taus:
+        assert survival_probability(m, tau).hex() \
+            == amplitude(m, tau).probability.hex(), tau
+
+
+def test_survival_probability_fails_like_the_amplitude(monkeypatch):
+    # inside the small-beta hole (ROADMAP item 3) both raise
+    m = BreitWignerModel.from_beta(0.05)
+    tau = 7.9773739917783955
+    with pytest.raises(ConvergenceError):
+        amplitude(m, tau)
+    with pytest.raises(ConvergenceError):
+        survival_probability(m, tau)
+    # and an |a|**2 past 1 + P_SLACK is refused by both, not clipped
+    m = BreitWignerModel.from_beta(2.0)
+    i_beta_true = survival.i_beta
+    monkeypatch.setattr(survival, "i_beta",
+                        lambda beta, tau: 1.01 * i_beta_true(beta, tau))
+    with pytest.raises(ArithmeticError):
+        amplitude(m, 0.01).probability
+    with pytest.raises(ArithmeticError):
+        survival_probability(m, 0.01)
 
 
 @given(
