@@ -107,15 +107,8 @@ def e1_cf_scaled(z: complex) -> complex:
     )
 
 
-def e1(z: complex) -> complex:
-    """E1(z) by whichever of the two kernels owns the region."""
-    if abs(z) <= SERIES_RADIUS:
-        return e1_series(z)
-    return cmath.exp(-z) * e1_cf_scaled(z)
-
-
 def e1_scaled(z: complex) -> complex:
-    """exp(z)*E1(z) without forming exp(z) where it would overflow."""
+    """exp(z)*E1(z): the series inside SERIES_RADIUS, the fraction outside."""
     if abs(z) <= SERIES_RADIUS:
         return cmath.exp(z) * e1_series(z)
     return e1_cf_scaled(z)

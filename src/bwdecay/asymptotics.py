@@ -27,15 +27,19 @@ instead of failing, since that regime is sometimes probed on purpose.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .model import BreitWignerModel, check_beta, check_real, check_tau
+from .model import BreitWignerModel, _phase, check_beta, check_real, check_tau
 
 _TWO_PI = 2.0 * math.pi
+
+# Terms retained: all five coefficients of each table by the I, J and
+# ratio series, the first four of the I brace by the late-time amplitude.
+SERIES_TERMS = 5
+AMPLITUDE_TERMS = 4
 
 
 class AsymptoticRangeWarning(UserWarning):
@@ -154,14 +158,14 @@ def _series(coefficients, beta: float, tau: float, order: int, top: int,
 
 def i_series(beta: float, tau: float, order: int) -> complex:
     """Late-time I(tau) truncated to ``order`` terms (1..5)."""
-    brace = _series(i_brace_coefficients, beta, tau, order, 5, "I_SERIES")
-    return 1j / tau * cmath.exp(1j * beta * tau) / (beta * beta + 0.25) * brace
+    brace = _series(i_brace_coefficients, beta, tau, order, SERIES_TERMS, "I_SERIES")
+    return 1j / tau * _phase(beta, tau) / (beta * beta + 0.25) * brace
 
 
 def j_series(beta: float, tau: float, order: int) -> complex:
     """Late-time J(tau) truncated to ``order`` terms (1..5)."""
-    brace = _series(j_brace_coefficients, beta, tau, order, 5, "J_SERIES")
-    return 1j / tau * cmath.exp(1j * beta * tau) / (beta * beta + 0.25) * brace
+    brace = _series(j_brace_coefficients, beta, tau, order, SERIES_TERMS, "J_SERIES")
+    return 1j / tau * _phase(beta, tau) / (beta * beta + 0.25) * brace
 
 
 def ratio_series(beta: float, tau: float, order: int) -> complex:
@@ -170,7 +174,7 @@ def ratio_series(beta: float, tau: float, order: int) -> complex:
     Order 1 is the constant -beta; each further term adds one power of
     i/tau with the regenerated coefficients.
     """
-    return _series(ratio_coefficients, beta, tau, order, 5, "RATIO")
+    return _series(ratio_coefficients, beta, tau, order, SERIES_TERMS, "RATIO")
 
 
 def amplitude_late(model: BreitWignerModel, tau: float, order: int) -> complex:
@@ -182,7 +186,8 @@ def amplitude_late(model: BreitWignerModel, tau: float, order: int) -> complex:
     truncated brace.  |a_lt|**2 falls off as 1/tau**2 at leading order.
     """
     beta = model.beta
-    brace = _series(i_brace_coefficients, beta, tau, order, 4, "AMPLITUDE")
+    brace = _series(i_brace_coefficients, beta, tau, order, AMPLITUDE_TERMS,
+                    "AMPLITUDE")
     d = beta * beta + 0.25
     return model.normalization() / (_TWO_PI * d) * (1j / tau) * brace
 

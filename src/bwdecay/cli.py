@@ -21,7 +21,7 @@ import sys
 import warnings
 
 from . import __version__
-from .asymptotics import AsymptoticRangeWarning
+from .asymptotics import AMPLITUDE_TERMS, SERIES_TERMS, AsymptoticRangeWarning
 from .crossover import crossover_time
 from .errors import (BracketError, ConvergenceError, DomainError,
                      NearZeroAmplitude, ToleranceNotMet)
@@ -244,14 +244,16 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="grid spacing (default log)")
     scan.add_argument("--method", choices=METHODS,
                       default="exact", help="computational route (default exact)")
-    scan.add_argument("--terms", type=int, default=5,
-                      help="series truncation for --method asymptotic, 1..5")
+    scan.add_argument("--terms", type=int, default=SERIES_TERMS,
+                      help="series truncation for --method asymptotic, "
+                           "1..{}".format(SERIES_TERMS))
     _add_output_arguments(scan, "csv")
 
     cross = subs.add_parser("crossover",
                             help="solve for the exponential/power-law cross-over time")
     _add_model_arguments(cross)
-    cross.add_argument("--terms", type=int, choices=(1, 2, 3, 4), default=1,
+    cross.add_argument("--terms", type=int,
+                       choices=tuple(range(1, AMPLITUDE_TERMS + 1)), default=1,
                        help="late-time amplitude truncation order (default 1)")
     cross.add_argument("--amp-const", type=float, default=None, dest="amp_const",
                        help="canonical-era amplitude prefactor A (default: the "

@@ -23,7 +23,8 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .asymptotics import AsymptoticRangeWarning, _check_order, amplitude_late
+from .asymptotics import (AMPLITUDE_TERMS, AsymptoticRangeWarning, _check_order,
+                          amplitude_late)
 from .errors import BracketError, DomainError, ToleranceNotMet
 from .model import BreitWignerModel, check_real
 from .scan import time_grid
@@ -52,18 +53,6 @@ class CrossoverResult:
 
 
 SurvivorCount = namedtuple("SurvivorCount", ["expected", "resolvable"])
-
-
-def _log_deficit(model: BreitWignerModel, tau: float, order: int,
-                 a_const: float) -> float:
-    # F(tau); the solver probes tau down to 1 where the series is
-    # formally out of range, which is intended here, hence the muffle.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AsymptoticRangeWarning)
-        late = abs(amplitude_late(model, tau, order))
-    if late == 0.0:
-        return math.inf
-    return 2.0 * math.log(a_const) - tau - 2.0 * math.log(late)
 
 
 def crossover_time(model: BreitWignerModel, order: int = 1,
@@ -97,44 +86,51 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
     ToleranceNotMet
         If 200 bisection steps leave |F| above ``tol``.
     """
-    _check_order(order, 4)
+    _check_order(order, AMPLITUDE_TERMS)
     check_real("tol", tol, positive=True)
     a_const = model.normalization() if amplitude_const is None else amplitude_const
     check_real("amplitude_const", a_const, positive=True)
 
     def f(tau: float) -> float:
-        return _log_deficit(model, tau, order, a_const)
+        late = abs(amplitude_late(model, tau, order))
+        if late == 0.0:
+            return math.inf
+        return 2.0 * math.log(a_const) - tau - 2.0 * math.log(late)
 
-    # Right-to-left scan of a log grid isolates the *largest* sign
-    # change first, which is the advertised root convention.
-    grid = time_grid(_BRACKET_LO, _BRACKET_HI, _SCAN_POINTS, "log")
-    f_hi = f(grid[-1])
-    lo = hi = None
-    for i in range(_SCAN_POINTS - 2, -1, -1):
-        f_cur = f(grid[i])
-        if f_cur > 0.0 and f_hi <= 0.0:
-            lo, hi = grid[i], grid[i + 1]
-            break
-        f_hi = f_cur
-    if lo is None:
-        raise BracketError(
-            "no exponential/power-law sign change on [{:g}, {:g}] "
-            "(order {}, A = {:.6g})".format(_BRACKET_LO, _BRACKET_HI, order, a_const)
-        )
+    # The solver probes tau down to 1, where the series is formally out
+    # of range; that is intended here, hence the muffle around the solve.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AsymptoticRangeWarning)
+        # Right-to-left scan of a log grid isolates the *largest* sign
+        # change first, which is the advertised root convention.
+        grid = time_grid(_BRACKET_LO, _BRACKET_HI, _SCAN_POINTS, "log")
+        f_hi = f(grid[-1])
+        lo = hi = None
+        for i in range(_SCAN_POINTS - 2, -1, -1):
+            f_cur = f(grid[i])
+            if f_cur > 0.0 and f_hi <= 0.0:
+                lo, hi = grid[i], grid[i + 1]
+                break
+            f_hi = f_cur
+        if lo is None:
+            raise BracketError(
+                "no exponential/power-law sign change on [{:g}, {:g}] "
+                "(order {}, A = {:.6g})".format(_BRACKET_LO, _BRACKET_HI, order, a_const)
+            )
 
-    bracket = (lo, hi)
-    a, b = lo, hi
-    root = 0.5 * (a + b)
-    residual = f(root)
-    iterations = 1
-    while abs(residual) > tol and iterations < _MAX_ITER:
-        if residual > 0.0:
-            a = root
-        else:
-            b = root
+        bracket = (lo, hi)
+        a, b = lo, hi
         root = 0.5 * (a + b)
         residual = f(root)
-        iterations += 1
+        iterations = 1
+        while abs(residual) > tol and iterations < _MAX_ITER:
+            if residual > 0.0:
+                a = root
+            else:
+                b = root
+            root = 0.5 * (a + b)
+            residual = f(root)
+            iterations += 1
     if abs(residual) > tol:
         raise ToleranceNotMet(
             "crossover residual {:.3e} after {} bisection steps".format(

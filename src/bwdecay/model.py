@@ -10,11 +10,13 @@ so this module is the only place physical units appear: construction,
 the tau <-> t maps, and the density itself.  It also owns the domain of
 the dimensionless pair: :func:`check_beta` and :func:`check_tau` are the
 one validator of each for the whole package, and :func:`check_real` is
-the one check of every other real-valued parameter.
+the one check of every other real-valued parameter.  :func:`_phase`
+is the one place the phase exp(i beta tau) of the closed forms is formed.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -45,6 +47,20 @@ def check_tau(tau: float, hint: str = "", zero_ok: bool = False) -> None:
             and (tau > 0 or (zero_ok and tau == 0))):
         raise DomainError("tau must be a finite {} real, got {!r}{}".format(
             "non-negative" if zero_ok else "positive", tau, hint))
+
+
+def _phase(beta: float, tau: float) -> complex:
+    """exp(i beta tau) for a validated beta and tau.
+
+    Raises OverflowError where beta * tau is not finite; callers form the
+    phase before any E1 call, so that the error is the first they raise.
+    """
+    beta_tau = beta * tau
+    if not math.isfinite(beta_tau):
+        raise OverflowError(
+            "beta * tau overflows double range at beta = {!r}, tau = {!r}; "
+            "the phase exp(i beta tau) is undefined there".format(beta, tau))
+    return cmath.exp(1j * beta_tau)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ToleranceNotMet
-from .model import BreitWignerModel, check_beta, check_real, check_tau
+from .model import BreitWignerModel, _phase, check_beta, check_real, check_tau
 
 _TWO_PI = 2.0 * math.pi
 
@@ -181,7 +181,6 @@ def _fourier_with_tail(f, f_prime, f_second, a: float, omega: float,
         # integrands; jump to where that form meets a quarter budget
         factor = (tail_err / (0.25 * budget)) ** (1.0 / 3.0)
         upper = min(upper * max(factor, 2.0), 1e9)
-    return value, err + tail_err
 
 
 def _enforce(value: complex, err: float, settings: QuadratureSettings,
@@ -297,5 +296,6 @@ def amplitude_by_quadrature(model: BreitWignerModel, tau: float,
     of what makes this an independent check.
     """
     n = model.normalization()
+    # i_by_quadrature first: it validates beta and tau, which _phase expects
     i_val = i_by_quadrature(model.beta, tau, settings)
-    return n / _TWO_PI * cmath.exp(-1j * model.beta * tau) * i_val
+    return n / _TWO_PI * _phase(model.beta, tau).conjugate() * i_val

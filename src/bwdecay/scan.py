@@ -12,20 +12,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .asymptotics import _check_order, amplitude_late, ratio_series
+from .asymptotics import (AMPLITUDE_TERMS, SERIES_TERMS, _check_order,
+                          amplitude_late, ratio_series)
 from .errors import DomainError
 from .model import BreitWignerModel, check_tau
-from .quadrature import (QuadratureSettings, amplitude_by_quadrature,
-                         i_by_quadrature, j_by_quadrature)
+from .quadrature import amplitude_by_quadrature, i_by_quadrature, j_by_quadrature
 from .survival import (checked_probability, effective_hamiltonian,
                        energy_and_rate, survival_probability)
 
 METHODS = ("exact", "asymptotic", "quadrature")
-
-# The late-time amplitude series carries fewer coefficients than the
-# ratio series; a scan's `terms` applies to each series up to its own
-# available depth.
-_MAX_AMPLITUDE_TERMS = 4
 
 
 # A named tuple, not a frozen dataclass: a row is built per grid point,
@@ -96,26 +91,23 @@ def _asymptotic_row(model: BreitWignerModel, tau: float, terms: int) -> ScanRow:
     # blows up like 1/tau**2 by design, and scanning into that region
     # is allowed (the range warning fires instead).  amplitude_late
     # refuses tau <= 0.
-    amp = amplitude_late(model, tau, min(terms, _MAX_AMPLITUDE_TERMS))
+    amp = amplitude_late(model, tau, min(terms, AMPLITUDE_TERMS))
     r = ratio_series(model.beta, tau, terms)
     return _row(model, tau, abs(amp) ** 2, *energy_and_rate(model.beta, r),
                 "asymptotic")
 
 
-def _quadrature_row(model: BreitWignerModel, tau: float,
-                    settings: QuadratureSettings | None) -> ScanRow:
-    amp = amplitude_by_quadrature(model, tau, settings)
+def _quadrature_row(model: BreitWignerModel, tau: float) -> ScanRow:
+    amp = amplitude_by_quadrature(model, tau)
     p = checked_probability(abs(amp) ** 2, tau)
     if tau == 0:
         return _row(model, tau, p, None, None, "quadrature")
-    r = j_by_quadrature(model.beta, tau, settings) \
-        / i_by_quadrature(model.beta, tau, settings)
+    r = j_by_quadrature(model.beta, tau) / i_by_quadrature(model.beta, tau)
     return _row(model, tau, p, *energy_and_rate(model.beta, r), "quadrature")
 
 
 def scan_rows(model: BreitWignerModel, taus, method: str = "exact",
-              terms: int = 5,
-              settings: QuadratureSettings | None = None) -> list:
+              terms: int = SERIES_TERMS) -> list:
     """Evaluate every grid point with the chosen method, in grid order.
 
     Parameters
@@ -127,19 +119,13 @@ def scan_rows(model: BreitWignerModel, taus, method: str = "exact",
     method : {"exact", "asymptotic", "quadrature"}
     terms : int, optional
         Series truncation for the asymptotic method (1..5; the
-        amplitude series caps at its own depth of 4).
-    settings : QuadratureSettings, optional
-        Oracle tolerances for the quadrature method.
+        amplitude series caps at its own depth of 4).  The quadrature
+        method runs at the oracle's default tolerances.
     """
     if method not in METHODS:
         raise DomainError("method must be one of {}, got {!r}".format(METHODS, method))
-    _check_order(terms, 5, "terms")
-    rows = []
-    for tau in taus:
-        if method == "exact":
-            rows.append(_exact_row(model, tau))
-        elif method == "asymptotic":
-            rows.append(_asymptotic_row(model, tau, terms))
-        else:
-            rows.append(_quadrature_row(model, tau, settings))
-    return rows
+    _check_order(terms, SERIES_TERMS, "terms")
+    if method == "asymptotic":
+        return [_asymptotic_row(model, tau, terms) for tau in taus]
+    build = _exact_row if method == "exact" else _quadrature_row
+    return [build(model, tau) for tau in taus]

@@ -2,7 +2,8 @@
 
 Public, validated surface over the kernels in ``_kernels_py``.
 Everything the rest of the package needs from special-function land is
-here: E1 itself and its overflow-safe scaled variant G(z) = exp(z)*E1(z).
+here: the overflow-safe scaled G(z) = exp(z)*E1(z), and E1 itself as
+exp(-z)*G(z).
 
 Both functions satisfy Schwarz reflection, E1(conj z) = conj E1(z),
 because every constant in the underlying series and fraction is real.
@@ -10,6 +11,7 @@ because every constant in the underlying series and fraction is real.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from . import _kernels_py as kernels
@@ -65,7 +67,7 @@ def exp_integral_e1(z) -> complex:
             "exp(-z)*[exp(z) E1(z)] overflows double range at z = {!r}; "
             "call exp_integral_e1_scaled instead".format(w)
         )
-    return kernels.e1(w)
+    return cmath.exp(-w) * kernels.e1_scaled(w)
 
 
 def exp_integral_e1_scaled(z) -> complex:

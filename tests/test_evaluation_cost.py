@@ -8,7 +8,9 @@ and J/I share one integration of I.  The sharing goes through one-entry
 memos, which must never change a value or swallow an error.
 """
 
+import cmath
 import json
+import math
 import os
 import subprocess
 import sys
@@ -88,6 +90,23 @@ def test_exact_row_evaluates_one_e1_pair(monkeypatch):
     rows = scan_rows(BreitWignerModel.from_beta(3.3), taus)
     assert len(rows) == len(taus)
     assert len(calls) == 2 * len(taus)
+
+
+def test_chi_derivative_evaluates_g_plus_alone(monkeypatch):
+    beta, tau = 2.7, 3.1
+    calls = []
+    e1 = survival.exp_integral_e1_scaled
+
+    def counting(z):
+        calls.append(z)
+        return e1(z)
+
+    monkeypatch.setattr(survival, "exp_integral_e1_scaled", counting)
+    value = survival.chi_derivative(beta, tau)
+    g_plus = e1(complex(0.5 * tau, -beta * tau))
+    assert calls == [complex(0.5 * tau, -beta * tau)]
+    assert repr(value) == repr(
+        math.exp(0.5 * tau) * cmath.exp(1j * beta * tau) * g_plus)
 
 
 def test_quadrature_row_integrates_i_once(monkeypatch):

@@ -216,6 +216,14 @@ class TestScanCommand:
                       method=ns.method, terms=ns.terms)
         assert res.stderr.splitlines()[-1].endswith(str(refusal.value))
 
+    def test_phase_overflow_exits_3(self, run_cli):
+        res = run_cli("scan", "--beta", "1e300", "--tau-min", "1e300",
+                      "--tau-max", "1e308", "--output", "json")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.startswith("numerical failure: beta * tau overflows")
+        assert len(res.stderr.splitlines()) == 1
+
     def test_quadrature_route_reaches_zero_time(self, run_cli):
         res = run_cli("scan", "--beta", "2", "--tau-min", "0", "--tau-max", "2",
                       "--points", "3", "--grid", "linear", "--method", "quadrature",

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwdecay import survival
+from bwdecay.asymptotics import i_series, j_series
 from bwdecay.errors import ConvergenceError, DomainError, NearZeroAmplitude
 from bwdecay.model import BreitWignerModel
+from bwdecay.quadrature import amplitude_by_quadrature
 from bwdecay.scan import scan_rows, time_grid
 from bwdecay.survival import (
     AmplitudeValue,
@@ -125,7 +127,8 @@ def test_survival_probability_matches_amplitude():
 
 @pytest.mark.parametrize("beta", [0.5, 2.0, 10.0, 100.0])
 def test_survival_probability_has_the_bits_of_the_amplitude(beta):
-    # survival_probability skips the AmplitudeValue record, not a digit
+    # survival_probability is amplitude(...).probability; no second path
+    # to |a|**2 may come back with other digits
     m = BreitWignerModel.from_beta(beta)
     taus = ([0.0] + time_grid(0.01, 40.0, 97, "log")
             + time_grid(40.0, 1e8, 61, "log"))
@@ -186,6 +189,38 @@ def test_probability_refuses_overshoot_beyond_roundoff():
 def test_hamiltonian_value_composition():
     h = EffectiveHamiltonianValue(energy=3.0, rate=0.5, tau=2.0)
     assert h.h == complex(3.0, -0.25)
+
+
+def test_records_are_immutable_named_tuples():
+    a = AmplitudeValue(complex(0.6, 0.0), 1.5)
+    h = EffectiveHamiltonianValue(3.0, 0.5, 2.0)
+    assert AmplitudeValue._fields == ("value", "tau")
+    assert h._asdict() == {"energy": 3.0, "rate": 0.5, "tau": 2.0}
+    for record, field in ((a, "value"), (h, "energy"), (h, "other")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+
+
+# beta * tau = 1e309 has no double value, and neither has exp(i beta tau)
+@pytest.mark.parametrize("call", [
+    lambda m: amplitude(m, 1e9),
+    lambda m: survival_probability(m, 1e9),
+    lambda m: effective_hamiltonian(m, 1e9),
+    lambda m: effective_hamiltonian_brace(m, 1e9),
+    lambda m: chi(m.beta, 1e9),
+    lambda m: chi_derivative(m.beta, 1e9),
+    lambda m: i_series(m.beta, 1e9, 3),
+    lambda m: j_series(m.beta, 1e9, 3),
+    lambda m: amplitude_by_quadrature(m, 1e9),
+], ids=["amplitude", "survival_probability", "effective_hamiltonian",
+        "effective_hamiltonian_brace", "chi", "chi_derivative", "i_series",
+        "j_series", "amplitude_by_quadrature"])
+def test_overflowing_phase_is_refused_before_any_e1_call(monkeypatch, call):
+    calls = []
+    monkeypatch.setattr(survival, "exp_integral_e1_scaled", calls.append)
+    with pytest.raises(OverflowError, match="beta \\* tau overflows"):
+        call(BreitWignerModel.from_beta(1e300))
+    assert calls == []
 
 
 def test_effective_hamiltonian_frozen_point():
