@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -223,7 +224,10 @@ def _add_output_arguments(sub: argparse.ArgumentParser, default_format: str) -> 
                      help="suppress the metadata header line / object")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built by the first main() call, not at import, and reused after:
+    # parsing leaves no state on the parser
     parser = argparse.ArgumentParser(
         prog="bwdecay",
         description="Survival amplitude, effective Hamiltonian and decay-law "

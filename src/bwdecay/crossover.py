@@ -18,13 +18,15 @@ exactly (both sides divided by N**2).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
 from .asymptotics import (AMPLITUDE_TERMS, AsymptoticRangeWarning, _check_order,
-                          amplitude_late)
+                          amplitude_late, i_brace_coefficients)
 from .errors import BracketError, DomainError, ToleranceNotMet
 from .model import BreitWignerModel, check_real
 from .scan import time_grid
@@ -53,6 +55,45 @@ class CrossoverResult:
 
 
 SurvivorCount = namedtuple("SurvivorCount", ["expected", "resolvable"])
+
+
+@functools.cache
+def _bracket_grid() -> tuple:
+    # the log grid every solve isolates its bracket on, built by the first
+    return tuple(time_grid(_BRACKET_LO, _BRACKET_HI, _SCAN_POINTS, "log"))
+
+
+def _decreasing_from(beta: float, order: int, grid) -> int:
+    """First index of the suffix of ``grid`` on which F provably falls.
+
+    With u = 1/tau, |a_lt| = N/(2 pi D) * u * |B(u)| where
+    B(u) = sum_{k<order} c_k (iu)**k, c = i_brace_coefficients(beta)
+    and c_0 = -1, so
+
+        F(tau) = const - tau + 2 ln tau - 2 ln|B(1/tau)|,
+        F'(tau) = -1 + 2u + 2u**2 Re(B'(u)/B(u)).
+
+    |B(u)| >= L(u) = 1 - sum_{k>=1} |c_k| u**k and
+    |B'(u)| <= M(u) = sum_{k>=1} k |c_k| u**(k-1), so wherever L > 0,
+    F' <= -1 + 2u + 2u**2 M/L, and 2uL + 2u**2 M <= L/2 gives
+    F' <= -1/2.  As tau grows, u and M fall and L rises, so the test
+    holds on a suffix of the grid, found here by bisection without an
+    F evaluation.  Along that suffix neighbouring points are at least
+    (1e4**(1/480) - 1) tau >= 0.019 apart, so F falls by at least
+    0.0097 per step, far above its rounding: the computed F is strictly
+    decreasing there and changes sign at most once.  NaN or infinite
+    coefficients (D overflows for beta >~ 1.3e154) fail every test and
+    return the last index, a suffix of one point that proves nothing.
+    """
+    tail = [abs(c) for c in i_brace_coefficients(beta)[1:order]]
+
+    def certified(tau):
+        u = 1.0 / tau
+        low = 1.0 - sum(c * u ** (k + 1) for k, c in enumerate(tail))
+        slope = sum((k + 1) * c * u ** k for k, c in enumerate(tail))
+        return low > 0.0 and 2.0 * u * low + 2.0 * u * u * slope <= 0.5 * low
+
+    return bisect.bisect_left(grid, True, 0, len(grid) - 1, key=certified)
 
 
 def crossover_time(model: BreitWignerModel, order: int = 1,
@@ -101,17 +142,27 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
     # of range; that is intended here, hence the muffle around the solve.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AsymptoticRangeWarning)
-        # Right-to-left scan of a log grid isolates the *largest* sign
-        # change first, which is the advertised root convention.
-        grid = time_grid(_BRACKET_LO, _BRACKET_HI, _SCAN_POINTS, "log")
-        f_hi = f(grid[-1])
+        # The advertised root is the *largest* sign change.  On the
+        # suffix grid[m:] F falls strictly, so one bisection over its
+        # indices finds the sign change there, if any; below it a
+        # right-to-left walk isolates the largest one first.
+        grid = _bracket_grid()
+        last = len(grid) - 1
+        m = _decreasing_from(model.beta, order, grid)
+        f_last = f(grid[last])
+        f_hi = f_last if m == last else f(grid[m])
         lo = hi = None
-        for i in range(_SCAN_POINTS - 2, -1, -1):
-            f_cur = f(grid[i])
-            if f_cur > 0.0 and f_hi <= 0.0:
-                lo, hi = grid[i], grid[i + 1]
-                break
-            f_hi = f_cur
+        if f_hi > 0.0 >= f_last:
+            i = bisect.bisect_left(grid, True, m + 1, last,
+                                   key=lambda tau: not f(tau) > 0.0)
+            lo, hi = grid[i - 1], grid[i]
+        else:
+            for i in range(m - 1, -1, -1):
+                f_cur = f(grid[i])
+                if f_cur > 0.0 and f_hi <= 0.0:
+                    lo, hi = grid[i], grid[i + 1]
+                    break
+                f_hi = f_cur
         if lo is None:
             raise BracketError(
                 "no exponential/power-law sign change on [{:g}, {:g}] "

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError
 
@@ -104,6 +105,7 @@ class BreitWignerModel:
                     self.e0, self.emin
                 )
             )
+        check_beta(self.beta)
 
     @classmethod
     def from_beta(cls, beta: float, gamma0: float = 1.0, emin: float = 0.0,
@@ -115,9 +117,13 @@ class BreitWignerModel:
         check_beta(beta)
         return cls(e0=emin + beta * gamma0, gamma0=gamma0, emin=emin, hbar=hbar)
 
-    @property
+    @cached_property
     def beta(self) -> float:
-        """Resonance position above the edge, in units of the width."""
+        """Resonance position above the edge, in units of the width.
+
+        Computed once per model, on construction; fields, eq, hash and
+        repr are the four parameters alone.
+        """
         return (self.e0 - self.emin) / self.gamma0
 
     @property

@@ -1,15 +1,18 @@
 """Cross-over time solver and the survivor-count helper."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwdecay.asymptotics import amplitude_late
+from bwdecay import crossover
+from bwdecay.asymptotics import AsymptoticRangeWarning, amplitude_late
 from bwdecay.crossover import CrossoverResult, crossover_time, survivor_count
-from bwdecay.errors import BracketError, DomainError
+from bwdecay.errors import BracketError, DomainError, ToleranceNotMet
 from bwdecay.model import BreitWignerModel
+from bwdecay.scan import time_grid
 from bwdecay.survival import amplitude
 
 # independently iterated fixed points of exp(tau) = (2 pi D)**2 tau**2,
@@ -186,3 +189,127 @@ def test_survivor_count_rejects_bad_arguments(p, n, kwargs):
 @settings(max_examples=200)
 def test_survivor_count_is_the_product(p, n):
     assert survivor_count(p, n).expected == p * n
+
+
+# The bracket search: a bisection over the grid suffix on which F
+# provably falls, then the right-to-left walk below it, must give what
+# the walk over the whole grid gave, bit for bit.
+
+SWEEP_BETAS = [10.0 ** (k / 10) for k in range(-30, 61)]
+EDGE_BETAS = [1e-300, 1e155, 1e300]
+
+
+def _f(model, tau, order, a_const):
+    late = abs(amplitude_late(model, tau, order))
+    if late == 0.0:
+        return math.inf
+    return 2.0 * math.log(a_const) - tau - 2.0 * math.log(late)
+
+
+def _walk_crossover(model, order=1, tol=1e-10, amplitude_const=None):
+    """Reference solver: walk the whole 481-point grid right to left."""
+    a_const = model.normalization() if amplitude_const is None else amplitude_const
+    grid = time_grid(1.0, 1.0e4, 481, "log")
+    f_hi = _f(model, grid[-1], order, a_const)
+    lo = hi = None
+    for i in range(len(grid) - 2, -1, -1):
+        f_cur = _f(model, grid[i], order, a_const)
+        if f_cur > 0.0 and f_hi <= 0.0:
+            lo, hi = grid[i], grid[i + 1]
+            break
+        f_hi = f_cur
+    if lo is None:
+        raise BracketError(
+            "no exponential/power-law sign change on [{:g}, {:g}] "
+            "(order {}, A = {:.6g})".format(1.0, 1.0e4, order, a_const))
+    a, b = lo, hi
+    root = 0.5 * (a + b)
+    residual = _f(model, root, order, a_const)
+    iterations = 1
+    while abs(residual) > tol and iterations < 200:
+        if residual > 0.0:
+            a = root
+        else:
+            b = root
+        root = 0.5 * (a + b)
+        residual = _f(model, root, order, a_const)
+        iterations += 1
+    if abs(residual) > tol:
+        raise ToleranceNotMet(
+            "crossover residual {:.3e} after {} bisection steps".format(
+                residual, iterations), achieved=abs(residual))
+    return CrossoverResult(tau_t=root, bracket=(lo, hi), residual=residual,
+                           order=order, iterations=iterations,
+                           t_physical=model.t_of_tau(root))
+
+
+def _outcome(solve, model, order, a_const):
+    try:
+        r = solve(model, order=order, amplitude_const=a_const)
+    except (BracketError, ToleranceNotMet) as exc:
+        return type(exc), str(exc)
+    return (r.tau_t.hex(), r.bracket[0].hex(), r.bracket[1].hex(),
+            r.residual.hex(), r.order, r.iterations, r.t_physical.hex())
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_bracket_search_matches_the_full_walk(order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AsymptoticRangeWarning)
+        for beta in SWEEP_BETAS + EDGE_BETAS:
+            m = BreitWignerModel.from_beta(beta)
+            for a_const in (None, 0.5, 1e3):
+                assert (_outcome(crossover_time, m, order, a_const)
+                        == _outcome(_walk_crossover, m, order, a_const)), (beta, a_const)
+
+
+@pytest.mark.parametrize(
+    "beta,order,budget",
+    [(b, o, 60) for b in (0.5, 2.0, 10.0, 100.0) for o in (1, 2, 3, 4)]
+    + [(0.05, 3, 120), (0.05, 4, 120)],
+)
+def test_bracket_search_evaluates_few_points(monkeypatch, beta, order, budget):
+    # the full walk took 333-481 evaluations of F for these solves
+    taus = []
+
+    def counting(*args):
+        taus.append(args[1])
+        return amplitude_late(*args)
+
+    monkeypatch.setattr(crossover, "amplitude_late", counting)
+    m = BreitWignerModel.from_beta(beta)
+    if beta == 0.05:
+        with pytest.raises(BracketError):
+            crossover_time(m, order=order)
+    else:
+        crossover_time(m, order=order)
+    assert len(taus) <= budget
+    grid = set(time_grid(1.0, 1.0e4, 481, "log"))
+    on_grid = [t for t in taus if t in grid]
+    assert len(on_grid) == len(set(on_grid)), "a grid point was evaluated twice"
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_f_falls_strictly_on_the_certified_suffix(order):
+    grid = crossover._bracket_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AsymptoticRangeWarning)
+        for beta in SWEEP_BETAS:
+            m = BreitWignerModel.from_beta(beta)
+            start = crossover._decreasing_from(beta, order, grid)
+            assert start < len(grid) - 1, beta
+            values = [_f(m, tau, order, m.normalization()) for tau in grid[start:]]
+            assert all(b < a for a, b in zip(values, values[1:])), beta
+
+
+@pytest.mark.parametrize("beta", [1e155, 1e300])
+def test_certificate_fails_closed_on_non_finite_coefficients(beta):
+    # D = beta**2 + 1/4 overflows, the brace coefficients are NaN
+    grid = crossover._bracket_grid()
+    assert crossover._decreasing_from(beta, 3, grid) == len(grid) - 1
+
+
+def test_bracket_grid_is_built_once():
+    grid = crossover._bracket_grid()
+    assert grid is crossover._bracket_grid()
+    assert list(grid) == time_grid(1.0, 1.0e4, 481, "log")

@@ -56,6 +56,19 @@ print(" ".join(m for m in ("bwdecay.cli", "typing", "scipy") if m in sys.modules
 """
 
 
+# The CLI builds its parser on the first main() call, then reuses it.
+_PARSER_PROBE = """
+import contextlib, io
+import bwdecay.cli as cli
+sizes = [cli._build_parser.cache_info().currsize]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["info", "--beta", "10"])
+    sizes.append(cli._build_parser.cache_info().misses)
+print(*sizes)
+"""
+
+
 def _bits(row):
     return tuple(v.hex() if isinstance(v, float) else v for v in row)
 
@@ -75,6 +88,13 @@ def test_bare_start_up_loads_neither_typing_nor_scipy():
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["bwdecay.cli"]
+
+
+def test_import_builds_no_parser_and_main_builds_one():
+    res = subprocess.run([sys.executable, "-c", _PARSER_PROBE],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", "1", "1"]
 
 
 def test_exact_row_evaluates_one_e1_pair(monkeypatch):

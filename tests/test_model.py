@@ -1,5 +1,6 @@
 """Model container: validation, derived quantities, density shape."""
 
+import dataclasses
 import math
 
 import pytest
@@ -23,6 +24,8 @@ TWO_PI = 2.0 * math.pi
         dict(e0=1.0, gamma0=1.0, emin=0.0, hbar=0.0),
         dict(e0=float("nan"), gamma0=1.0, emin=0.0),
         dict(e0=float("inf"), gamma0=1.0, emin=0.0),
+        dict(e0=1.0, gamma0=1e-320, emin=0.0),      # beta overflows
+        dict(e0=1e308, gamma0=1.0, emin=-1e308),    # e0 - emin overflows
     ],
 )
 def test_constructor_rejects_bad_parameters(kwargs):
@@ -37,6 +40,16 @@ def test_constructor_rejects_bad_parameters(kwargs):
 def test_beta_is_peak_offset_in_widths(e0, gamma0, emin, beta):
     m = BreitWignerModel(e0=e0, gamma0=gamma0, emin=emin)
     assert m.beta == pytest.approx(beta, rel=1e-15)
+
+
+def test_beta_is_computed_once_and_is_not_a_field():
+    m = BreitWignerModel(e0=3.0, gamma0=0.7, emin=-1.1)
+    assert m.beta is m.beta
+    assert m.beta == (3.0 + 1.1) / 0.7
+    twin = BreitWignerModel(e0=3.0, gamma0=0.7, emin=-1.1)
+    assert m == twin and hash(m) == hash(twin)
+    assert repr(m) == "BreitWignerModel(e0=3.0, gamma0=0.7, emin=-1.1, hbar=1.0)"
+    assert [f.name for f in dataclasses.fields(m)] == ["e0", "gamma0", "emin", "hbar"]
 
 
 def test_from_beta_round_trips():

@@ -336,10 +336,39 @@ class TestModelResolution:
         res = run_cli("info")
         assert res.returncode == 2
 
+    def test_overflowing_beta_is_an_invalid_model(self, run_cli):
+        res = run_cli("info", "--e0", "1", "--gamma0", "1e-320")
+        assert res.returncode == 2
+        assert "invalid model:" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_e0_route(self, run_cli):
         res = run_cli("info", "--e0", "3", "--gamma0", "0.5", "--emin", "1")
         assert res.returncode == 0
         assert json.loads(res.stdout)["beta"] == pytest.approx(4.0, rel=1e-15)
+
+
+class TestParserReuse:
+    def test_in_process_calls_match_fresh_processes(self, run_cli, monkeypatch):
+        # one parser serves every main() call of a process; a usage error,
+        # two commands and a help page in a row must print what a fresh
+        # process prints for each
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = _build_parser()
+        for argv in (["crossover", "--terms", "5"],
+                     ["crossover", "--beta", "10", "--terms", "2"],
+                     ["info", "--beta", "10", "--output", "csv"],
+                     ["scan", "--help"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+            fresh = run_cli(*argv)
+            assert (out.getvalue(), err.getvalue(), code) == (
+                fresh.stdout, fresh.stderr, fresh.returncode), argv
+        assert _build_parser() is parser
 
 
 class TestCrossoverCommand:
