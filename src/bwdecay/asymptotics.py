@@ -7,17 +7,21 @@ limit eta = -beta produces, with D = beta**2 + 1/4 and x = i/tau,
     J(tau) ~ x exp(i beta tau)/D * sum_k cj_k x**k,
     J/I    ~ sum_k cr_k x**k,
 
-with five coefficients retained per series.  The brace coefficients
-ci_k, cj_k come out of the boundary derivatives of 1/(eta**2 + 1/4) and
-eta/(eta**2 + 1/4); the ratio coefficients follow by long division.
+with five coefficients retained per series.  With f = 1/(eta**2 + 1/4)
+and g = eta f, ci_k = (-1)**(k+1) D f^(k)(-beta) and cj_k likewise of g.
+Leibniz's rule on (eta**2 + 1/4) f = 1 and (eta**2 + 1/4) g = eta at
+eta = -beta gives one recurrence for both tables (s = 0, c_0 = -1 for
+ci; s = 1, c_0 = beta for cj), and as ci_0 = -1, long division of the J
+series by the I series gives cr.  All three tables are generated so:
 
-A note on the ratio's third and fourth coefficients: the widely quoted
-closed forms (1+24b-28b**2-96b**3+64b**4)/(4 D**3) and
-(6-21b+48b**2-64b**3-288b**4+464b**5)/(4 D**4) are incorrect except at
-beta = 1; regenerating the division gives (1-8b**2)/D**2 and
-b(44b**2-15)/D**3.  This module evaluates the regenerated values;
-the quoted forms remain available as ratio_coefficients_legacy so the
-discrepancy stays visible and tested rather than silently patched.
+    c_k  = [k == 1] s - (2 k beta c_{k-1} + k (k-1) c_{k-2}) / D,
+    cr_n = sum_{k<n} cr_k ci_{n-k} - cj_n.
+
+The widely quoted closed forms of the ratio's third and fourth
+coefficients, (1+24b-28b**2-96b**3+64b**4)/(4 D**3) and
+(6-21b+48b**2-64b**3-288b**4+464b**5)/(4 D**4), are wrong except at
+beta = 1; the division gives (1-8b**2)/D**2 and b(44b**2-15)/D**3.
+ratio_coefficients_legacy keeps them so the discrepancy stays tested.
 
 These are asymptotic, not convergent, series: past the optimal
 truncation index the terms grow again.  Evaluations where the last
@@ -27,6 +31,7 @@ instead of failing, since that regime is sometimes probed on purpose.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -67,42 +72,40 @@ def _check_order(order: int, top: int, name: str = "order") -> None:
             name, top, order))
 
 
+@functools.lru_cache(maxsize=1)
+def _tables(beta: float) -> tuple:
+    # (ci, cj, cr) by the module docstring's recurrence, with b = beta/D
+    # and r = 1/D so that no product overflows while D is finite.  One
+    # entry: a scan or a cross-over solve asks for one beta throughout.
+    d = beta * beta + 0.25
+    b, r = beta / d, 1.0 / d
+    ci, cj, cr = [-1.0], [beta], [-beta]
+    for k in range(1, SERIES_TERMS):
+        # at k = 1 the weight of c_{k-2} is 0, whatever c[-1] holds
+        for c, s in ((ci, 0.0), (cj, 1.0 if k == 1 else 0.0)):
+            c.append(s - 2 * k * b * c[k - 1] - k * (k - 1) * r * c[k - 2])
+        cr.append(sum(cr[n] * ci[k - n] for n in range(k)) - cj[k])
+    if d == math.inf:
+        # beta**2 overflowed and b = r = 0 zeroed what carries 1/D; NaN
+        # fails every consumer closed (ci_1 = 2b keeps its limit 0)
+        nan = [math.nan] * SERIES_TERMS
+        ci[2:], cj[1:], cr[2:] = nan[2:], nan[1:], nan[2:]
+    return tuple(ci), tuple(cj), tuple(cr)
+
+
 def i_brace_coefficients(beta: float) -> tuple:
     """Five brace coefficients of the I expansion, in powers of i/tau."""
-    d = beta * beta + 0.25
-    b2 = beta * beta / d
-    return (
-        -1.0,
-        2.0 * beta / d,
-        (2.0 / d) * (1.0 - 4.0 * b2),
-        (24.0 * beta / (d * d)) * (2.0 * b2 - 1.0),
-        (24.0 / (d * d)) * (-16.0 * b2 * b2 + 12.0 * b2 - 1.0),
-    )
+    return _tables(beta)[0]
 
 
 def j_brace_coefficients(beta: float) -> tuple:
     """Five brace coefficients of the J expansion, in powers of i/tau."""
-    d = beta * beta + 0.25
-    b2 = beta * beta / d
-    return (
-        beta,
-        1.0 - 2.0 * b2,
-        (2.0 * beta / d) * (4.0 * b2 - 3.0),
-        (6.0 / d) * (-8.0 * b2 * b2 + 8.0 * b2 - 1.0),
-        (24.0 * beta / (d * d)) * (16.0 * b2 * b2 - 20.0 * b2 + 5.0),
-    )
+    return _tables(beta)[1]
 
 
 def ratio_coefficients(beta: float) -> tuple:
     """Five coefficients of J/I in powers of i/tau (regenerated values)."""
-    d = beta * beta + 0.25
-    return (
-        -beta,
-        -1.0,
-        2.0 * beta / d,
-        (1.0 - 8.0 * beta * beta) / (d * d),
-        beta * (44.0 * beta * beta - 15.0) / (d * d * d),
-    )
+    return _tables(beta)[2]
 
 
 def ratio_coefficients_legacy(beta: float) -> tuple:
@@ -188,8 +191,8 @@ def amplitude_late(model: BreitWignerModel, tau: float, order: int) -> complex:
     beta = model.beta
     brace = _series(i_brace_coefficients, beta, tau, order, AMPLITUDE_TERMS,
                     "AMPLITUDE")
-    d = beta * beta + 0.25
-    return model.normalization() / (_TWO_PI * d) * (1j / tau) * brace
+    # two divisions: 2 pi D overflows before D does
+    return model.normalization() / _TWO_PI / (beta * beta + 0.25) * (1j / tau) * brace
 
 
 def energy_late(model: BreitWignerModel, tau: float) -> float:
@@ -200,10 +203,8 @@ def energy_late(model: BreitWignerModel, tau: float) -> float:
     Re[J/I]) exactly, so the late-time energy relaxes to Emin like
     1/tau**2 from below.
     """
-    beta = model.beta
-    check_beta(beta)
-    check_tau(tau)
-    c = ratio_coefficients(beta)
+    check_tau(tau)  # the model checked its beta
+    c = ratio_coefficients(model.beta)
     correction = -c[2] / tau ** 2 + c[4] / tau ** 4
     return model.emin + model.gamma0 * correction
 
@@ -215,10 +216,8 @@ def decay_rate_late(model: BreitWignerModel, tau: float) -> float:
     gamma = -2 gamma0 Im[J/I] they give 2 gamma0/tau at leading order,
     independent of beta, plus a 1/tau**3 correction.
     """
-    beta = model.beta
-    check_beta(beta)
-    check_tau(tau)
-    c = ratio_coefficients(beta)
+    check_tau(tau)  # the model checked its beta
+    c = ratio_coefficients(model.beta)
     return model.gamma0 * (-2.0 * c[1] / tau + 2.0 * c[3] / tau ** 3)
 
 

@@ -268,12 +268,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(info)
     _add_output_arguments(info, "json")
 
+    for sub in (scan, cross, info):
+        # a usage error found after parsing is the subcommand's to report
+        sub.set_defaults(parser=sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    parser = args.parser
     model = _resolve_model(args, parser)
     try:
         if args.command == "scan":

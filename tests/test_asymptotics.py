@@ -4,11 +4,13 @@ range warnings, and the density-to-running-constant map."""
 import math
 import warnings
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwdecay.asymptotics import (
+    SERIES_TERMS,
     AsymptoticRangeWarning,
     LambdaCoefficients,
     amplitude_late,
@@ -53,6 +55,41 @@ def test_brace_coefficient_values():
     cj = j_brace_coefficients(2.0)
     assert cj[0] == pytest.approx(2.0, rel=1e-15)
     assert cj[1] == pytest.approx(1.0 - 2.0 * 4.0 / d, rel=1e-14)
+
+
+def _mpmath_tables(beta):
+    # D f^(k)(-beta), signed as the brace tables, from mpmath.diffs at 50
+    # digits, and the long division of the J series by the I series
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta)
+        d = b * b + mpmath.mpf(1) / 4
+
+        def brace(g):
+            derivs = mpmath.diffs(g, -b, SERIES_TERMS - 1)
+            return [(-1) ** (k + 1) * d * v for k, v in enumerate(derivs)]
+
+        ci = brace(lambda eta: 1 / (eta * eta + mpmath.mpf(1) / 4))
+        cj = brace(lambda eta: eta / (eta * eta + mpmath.mpf(1) / 4))
+        cr = []
+        for n in range(SERIES_TERMS):
+            cr.append(sum(cr[k] * ci[n - k] for k in range(n)) - cj[n])
+        return d, (ci, cj, cr)
+
+
+def test_generated_tables_match_mpmath():
+    # every entry of the three tables at 221 log-spaced beta, plus the
+    # two points where an entry vanishes (cj_1 at beta = 1/2, cr_3 at
+    # 1/sqrt(8)); the bound scales with an entry's size k! D**((1-k)/2)
+    betas = [10.0 ** (-3 + i / 20) for i in range(221)] + [0.5, 8 ** -0.5]
+    for beta in betas:
+        d, oracle = _mpmath_tables(beta)
+        generated = (i_brace_coefficients(beta), j_brace_coefficients(beta),
+                     ratio_coefficients(beta))
+        for name, got, ref in zip(("ci", "cj", "cr"), generated, oracle):
+            assert len(got) == SERIES_TERMS
+            for k in range(SERIES_TERMS):
+                bound = 1e-14 * math.factorial(k) * d ** (mpmath.mpf(1 - k) / 2)
+                assert abs(got[k] - ref[k]) <= bound, (beta, name, k)
 
 
 def test_printed_forms_agree_only_at_unit_offset():

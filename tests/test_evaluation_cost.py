@@ -5,7 +5,8 @@ the default paths never load it; start-up does not load typing either.
 A scan row evaluates its integrals once: survival_probability and
 effective_hamiltonian share one E1 pair, and the quadrature amplitude
 and J/I share one integration of I.  The sharing goes through one-entry
-memos, which must never change a value or swallow an error.
+memos, which must never change a value or swallow an error.  The
+late-time coefficient tables are generated once per beta, not per point.
 """
 
 import cmath
@@ -14,11 +15,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import bwdecay
-from bwdecay import quadrature, survival
+from bwdecay import asymptotics, quadrature, survival
+from bwdecay.crossover import crossover_time
 from bwdecay.errors import ConvergenceError
 from bwdecay.model import BreitWignerModel
 from bwdecay.quadrature import QuadratureSettings, i_by_quadrature
@@ -127,6 +130,18 @@ def test_chi_derivative_evaluates_g_plus_alone(monkeypatch):
     assert calls == [complex(0.5 * tau, -beta * tau)]
     assert repr(value) == repr(
         math.exp(0.5 * tau) * cmath.exp(1j * beta * tau) * g_plus)
+
+
+def test_late_time_tables_are_generated_once_per_beta():
+    model = BreitWignerModel.from_beta(3.7)
+    taus = time_grid(40.0, 1e8, 4000, "log")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", asymptotics.AsymptoticRangeWarning)
+        for run in (lambda: scan_rows(model, taus, method="asymptotic"),
+                    lambda: crossover_time(model, order=4)):
+            asymptotics._tables.cache_clear()
+            run()
+            assert asymptotics._tables.cache_info().misses == 1
 
 
 def test_quadrature_row_integrates_i_once(monkeypatch):

@@ -342,6 +342,25 @@ class TestModelResolution:
         assert "invalid model:" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("command, args", [
+        ("info", ["--e0", "1", "--gamma0", "1e-320"]),
+        ("scan", ["--beta", "1", "--points", "1"]),
+        ("crossover", ["--beta", "1", "--e0", "2"]),
+        ("info", ["--config", "{cfg}"]),
+    ])
+    def test_late_usage_errors_name_the_subcommand(self, run_cli, tmp_path,
+                                                   command, args):
+        # refused after parsing, by the model, the grid or the config
+        # reader, yet reported like argparse's own errors of the command
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("width = 3\n")
+        res = run_cli(command, *[a.format(cfg=cfg) for a in args])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert lines[0].startswith("usage: bwdecay {} [-h]".format(command))
+        assert lines[-1].startswith("bwdecay {}: error: ".format(command))
+
     def test_e0_route(self, run_cli):
         res = run_cli("info", "--e0", "3", "--gamma0", "0.5", "--emin", "1")
         assert res.returncode == 0
@@ -391,6 +410,14 @@ class TestCrossoverCommand:
     def test_nonpositive_prefactor_is_usage_error(self, run_cli):
         res = run_cli("crossover", "--beta", "2", "--amp-const", "-1")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 4])
+    def test_subnormal_late_amplitude_still_brackets(self, run_cli, terms):
+        # N/(2 pi D) is subnormal here, and 2 pi D alone would overflow
+        res = run_cli("crossover", "--beta", "1e154", "--terms", terms)
+        assert res.returncode == 0, res.stderr
+        rec = json.loads(res.stdout)
+        assert rec["bracket_lo"] < rec["tau_t"] < rec["bracket_hi"]
 
 
 class TestInfoCommand:
