@@ -1,12 +1,13 @@
 """What a call costs, and that the memos behind it cannot be seen.
 
-scipy is imported only by the quadrature oracle, on its first use, so
-the default paths never load it; start-up does not load typing either.
-A scan row evaluates its integrals once: survival_probability and
-effective_hamiltonian share one E1 pair, and the quadrature amplitude
-and J/I share one integration of I.  The sharing goes through one-entry
-memos, which must never change a value or swallow an error.  The
-late-time coefficient tables are generated once per beta, not per point.
+No route imports scipy, the quadrature oracle included, and start-up
+does not load typing either.  A scan row evaluates its integrals once:
+survival_probability and effective_hamiltonian share one E1 pair, and
+the quadrature amplitude and J/I share one run of the oracle's rule,
+which integrates I and J together on the same panels.  The sharing
+goes through one-entry memos, which must never change a value or
+swallow an error.  The late-time coefficient tables are generated once
+per beta, not per point.
 """
 
 import cmath
@@ -40,11 +41,31 @@ note("import bwdecay.cli")
 for argv in (["info", "--beta", "10"],
              ["crossover", "--beta", "10"],
              ["scan", "--beta", "10", "--points", "50"],
+             ["scan", "--beta", "10", "--points", "5", "--method", "asymptotic",
+              "--tau-min", "40", "--tau-max", "400"],
              ["scan", "--beta", "10", "--points", "5", "--method", "quadrature"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     note(" ".join(argv) + " -> {}".format(code))
 print(json.dumps(steps))
+"""
+
+
+# A quadrature scan, optionally with a meta-path finder in front that
+# makes every import of scipy fail.
+_NO_SCIPY_SCAN = """
+import sys
+if {block}:
+    class NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError("scipy is blocked")
+            return None
+    sys.meta_path.insert(0, NoScipy())
+import bwdecay.cli
+sys.exit(bwdecay.cli.main(["scan", "--beta", "2.5", "--points", "7",
+                           "--tau-min", "0", "--tau-max", "12", "--grid", "linear",
+                           "--method", "quadrature", "--output", "json"]))
 """
 
 
@@ -76,13 +97,24 @@ def _bits(row):
     return tuple(v.hex() if isinstance(v, float) else v for v in row)
 
 
-def test_scipy_is_imported_only_by_the_quadrature_route():
+def test_no_route_imports_scipy():
     res = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     steps = json.loads(res.stdout)
+    assert len(steps) == 7
     assert all(label.endswith("-> 0") for label, _ in steps[2:]), steps
-    assert [loaded for _, loaded in steps] == [False] * 5 + [True], steps
+    assert not any(loaded for _, loaded in steps), steps
+
+
+def test_quadrature_scan_runs_without_scipy():
+    runs = [subprocess.run([sys.executable, "-c", _NO_SCIPY_SCAN.format(block=block)],
+                           capture_output=True, text=True)
+            for block in (False, True)]
+    for res in runs:
+        assert res.returncode == 0, res.stderr
+    assert json.loads(runs[0].stdout)["rows"][0]["p"] == pytest.approx(1.0, abs=1e-12)
+    assert runs[1].stdout == runs[0].stdout
 
 
 def test_bare_start_up_loads_neither_typing_nor_scipy():
@@ -145,21 +177,21 @@ def test_late_time_tables_are_generated_once_per_beta():
 
 
 def test_quadrature_row_integrates_i_once(monkeypatch):
+    # one run of the rule per row: I and J come out of the same quad
+    # call, whatever beta*tau, and at tau = 0 as well
     calls = []
-    fourier = quadrature._fourier_with_tail
+    rule = quadrature.quad
 
-    def counting(f, *args):
-        if f is quadrature._f_i:
-            calls.append(args)
-        return fourier(f, *args)
+    def counting(*args):
+        calls.append(args)
+        return rule(*args)
 
-    monkeypatch.setattr(quadrature, "_fourier_with_tail", counting)
-    # beta*tau stays small enough that no row takes the wing escape,
-    # which would integrate I a second time by design
-    taus = [0.371, 1.37, 3.71]
+    monkeypatch.setattr(quadrature, "quad", counting)
+    quadrature._integrals.cache_clear()
+    taus = [0.0, 0.371, 1.37, 3.71, 37.1, 371.0]
     rows = scan_rows(BreitWignerModel.from_beta(2.3), taus, method="quadrature")
     assert len(rows) == len(taus)
-    assert len(calls) == len(taus)
+    assert [args[1] for args in calls] == taus
 
 
 def test_scan_order_does_not_change_rows():
@@ -204,12 +236,12 @@ def test_convergence_failure_raises_every_time():
 
 
 def test_quadrature_memo_keys_on_settings():
-    coarse = QuadratureSettings(rel_tol=1e-6, eta_max=2e3)
+    coarse = QuadratureSettings(rel_tol=1e-6)
     fine = QuadratureSettings()
     shared = [i_by_quadrature(2.0, 3.0, s) for s in (coarse, fine, coarse)]
     fresh = []
     for s in (coarse, fine):
-        quadrature._i_signed.cache_clear()
+        quadrature._integrals.cache_clear()
         fresh.append(i_by_quadrature(2.0, 3.0, s))
     assert fresh[0] != fresh[1]
     assert [repr(v) for v in shared] == [repr(v) for v in fresh + fresh[:1]]

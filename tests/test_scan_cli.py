@@ -234,6 +234,25 @@ class TestScanCommand:
         assert first["p"] == pytest.approx(1.0, abs=1e-12)
         assert first["kappa"] is None
 
+    def test_quadrature_route_at_huge_beta(self, run_cli):
+        # the oracle's ray integrand never forms eta**2, so it cannot
+        # overflow into NaN; p is N**2 exp(-tau) to double precision
+        res = run_cli("scan", "--beta", "1e153", "--method", "quadrature",
+                      "--tau-min", "0.5", "--tau-max", "8", "--points", "3")
+        assert res.returncode == 0, res.stderr
+        _, header, rows = parse_csv_rows(res.stdout)
+        p = header.split(",").index("p")
+        assert [float(r[p]) for r in rows] == pytest.approx(
+            [math.exp(-0.5), math.exp(-2.0), math.exp(-8.0)], rel=1e-14)
+
+    def test_quadrature_route_covers_the_small_beta_hole(self, run_cli):
+        # where the exact route's E1 fraction stalls (ROADMAP item 3),
+        # README points users to this fallback
+        res = run_cli("scan", "--beta", "0.05", "--method", "quadrature",
+                      "--tau-min", "7", "--tau-max", "60")
+        assert res.returncode == 0, res.stderr
+        assert len(parse_csv_rows(res.stdout)[2]) > 2
+
 
 def _reference_scan_text(argv, rows):
     """A scan's stdout as json.dumps(..., indent=2) or the per-field join
