@@ -153,6 +153,32 @@ def test_conjugation_symmetry_by_reevaluation():
     assert abs(minus - plus.conjugate()) < 1e-9
 
 
+def test_reported_error_covers_truncation_change():
+    # the ray has no truncation point; what truncates the rule is its
+    # panel budget.  A value cut short at a few panels carries an error
+    # estimate that covers its distance to the converged value.
+    (ref, _), _ = quad(2.0, 3.0, QuadratureSettings(rel_tol=1e-14))
+    moved = 0
+    for n in (2, 3, 4):
+        (v, e), _ = quad(2.0, 3.0, QuadratureSettings(max_subdivisions=n))
+        assert abs(v - ref) <= e, n
+        moved += v != ref
+    assert moved == 3
+
+
+def test_refinement_discrepancies_do_not_grow():
+    # successive tolerance tightenings reach the roundoff floor, so allow
+    # an absolute cushion instead of demanding strict decrease
+    values = [
+        _i_signed(2.0, 3.0, QuadratureSettings(rel_tol=r))[0]
+        for r in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+    ]
+    d = [abs(b - a) for a, b in zip(values, values[1:])]
+    assert d[0] > 0.0
+    for coarse, fine in zip(d, d[1:]):
+        assert fine <= coarse + 1e-15
+
+
 def test_tighter_tolerance_stays_within_certificate():
     # the value at rel_tol = 1e-13 differs from the default value by no
     # more than the default's certificate, for I and J alike
