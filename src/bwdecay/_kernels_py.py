@@ -2,8 +2,10 @@
 
 The validated public surface over them is ``bwdecay.special``.  Callers
 are expected to have validated their arguments (nonzero, off the
-negative real axis); the kernels themselves only know how to iterate and
-when to give up.
+negative real axis).  Two kernels cover the plane: the power series
+(DLMF 6.6.2), a Horner polynomial of fixed length near the origin, and
+the continued fraction (DLMF 6.9) everywhere else, which iterates and
+gives up near the cut.  :func:`e1_scaled` is the one choice between them.
 """
 
 from __future__ import annotations
@@ -14,13 +16,19 @@ from .errors import ConvergenceError
 
 EULER_GAMMA = 0.57721566490153286
 
-# Crossover radius between the power series and the continued fraction.
-# The series needs ~60 terms at |z| = 4 and starts losing digits to
-# cancellation beyond that; the contracted fraction converges in well
-# under 250 iterations outside the disk except close to the cut.
+# The power series runs where it is accurate: |z| <= SERIES_RADIUS and
+# |z| + Re z <= SERIES_SPREAD.  Its terms z**k/(k k!) sum in modulus to
+# about e**|z|/|z|, against |E1(z)| ~ e**-Re(z)/|z|, so rounding in the
+# sum is amplified by about e**(|z| + Re z): at most e**4 here.  Every
+# other argument goes to the continued fraction, which converges in well
+# under 250 steps there, except close to the negative real axis.
 SERIES_RADIUS = 4.0
+SERIES_SPREAD = 4.0
 
-_SERIES_BUDGET = 200
+# e1_series is tabulated out to twice the radius, so that the seam can
+# be tested from both sides.
+_SERIES_TABLE_RADIUS = 2.0 * SERIES_RADIUS
+
 _CF_BUDGET = 500
 _EPS = 1e-16
 _TINY = 1e-300
@@ -31,33 +39,61 @@ _TINY = 1e-300
 # whose last step is that close has converged to working precision.
 _CF_LAST_STEP = 4.0 * 2.0 ** -53
 
+# the partial numerators -k**2 of the fraction, one per step
+_CF_NUMERATORS = tuple(-float(k * k) for k in range(1, _CF_BUDGET + 1))
+
+
+def _series_table(radius: float) -> tuple:
+    # Entry q - 1 serves (q - 1)/4 < |z| <= q/4.  It holds the Horner
+    # coefficients (-1)**(k+1)/(k k!) for k = n, ..., 1, where n is the
+    # fewest terms whose first omitted one, r**(n+1)/((n+1)(n+1)!) at
+    # r = q/4, is at most 2**-56 e**-r/(r + 2).  That floor lies under
+    # |E1| on the whole disk |z| <= r (E1(r) > e**-r/(r + 2), DLMF 6.8),
+    # so truncation costs under 2**-55 relative (the omitted terms fall
+    # off at least geometrically): 12 terms for |z| <= 1/4, 33 for
+    # |z| <= 4.
+    table, coeffs, fact = [], [], 1.0     # fact = n! for n = len(coeffs)
+    for q in range(1, int(4.0 * radius) + 1):
+        r = 0.25 * q
+        floor = 2.0 ** -56 * cmath.exp(-r).real / (r + 2.0)
+        n = len(coeffs)
+        while r ** (n + 1) / ((n + 1) * (n + 1) * fact) > floor:
+            n += 1
+            fact *= n
+            coeffs.append((1.0 if n % 2 else -1.0) / (n * fact))
+        table.append(tuple(reversed(coeffs)))
+    return tuple(table)
+
+
+_SERIES_HORNER = _series_table(_SERIES_TABLE_RADIUS)
+
 
 def e1_series(z: complex) -> complex:
     """Power-series evaluation of E1(z).
 
     Uses E1(z) = -gamma - log(z) + sum_{k>=1} (-1)**(k+1) z**k / (k k!),
-    principal branch of the logarithm.  Intended for ``|z| <= SERIES_RADIUS``;
-    nothing enforces that here, but accuracy degrades outside it.
+    principal branch of the logarithm.  The sum is a Horner polynomial in
+    z whose length depends only on |z| (12 to 33 terms on |z| <= 4), so
+    no term is tested for convergence.  Truncation stays under 2**-55
+    relative; rounding grows like e**(|z| + Re z), which is why
+    :func:`e1_scaled` sends only arguments with ``|z| + Re z <=
+    SERIES_SPREAD`` here.
 
     Raises
     ------
-    ConvergenceError
-        If the term-to-total ratio has not dropped below 1e-16 after
-        200 terms.
+    ValueError
+        For |z| > 8, beyond the tabulated lengths.
     """
-    total = -EULER_GAMMA - cmath.log(z)
-    term = 1.0 + 0.0j  # carries z**k / k!
-    for k in range(1, _SERIES_BUDGET + 1):
-        term *= z / k
-        delta = term / k if k % 2 else -term / k
-        total += delta
-        if abs(delta) <= _EPS * abs(total):
-            return total
-    raise ConvergenceError(
-        "E1 power series did not converge at z = {!r} within {} terms".format(
-            z, _SERIES_BUDGET
-        )
-    )
+    r = abs(z)
+    if r > _SERIES_TABLE_RADIUS:
+        raise ValueError(
+            "the E1 power series is tabulated for |z| <= {}, got z = {!r}".format(
+                _SERIES_TABLE_RADIUS, z))
+    acc = 0.0
+    # the entry for ceil(4 |z|) quarters
+    for c in _SERIES_HORNER[int(-(-4.0 * r // 1.0)) - 1]:
+        acc = acc * z + c
+    return -EULER_GAMMA - cmath.log(z) + acc * z
 
 
 def e1_cf_scaled(z: complex) -> complex:
@@ -85,8 +121,7 @@ def e1_cf_scaled(z: complex) -> complex:
     c = 1.0 / _TINY
     d = 1.0 / b
     f = d
-    for k in range(1, _CF_BUDGET + 1):
-        a = -float(k * k)
+    for a in _CF_NUMERATORS:
         b += 2.0
         d = b + a * d
         if d == 0.0:
@@ -108,7 +143,13 @@ def e1_cf_scaled(z: complex) -> complex:
 
 
 def e1_scaled(z: complex) -> complex:
-    """exp(z)*E1(z): the series inside SERIES_RADIUS, the fraction outside."""
-    if abs(z) <= SERIES_RADIUS:
+    """exp(z)*E1(z), the one choice between the two kernels.
+
+    The series where ``|z| <= SERIES_RADIUS`` and ``|z| + Re z <=
+    SERIES_SPREAD`` (its cancellation is at most e**4 there), the
+    continued fraction everywhere else.
+    """
+    r = abs(z)
+    if r <= SERIES_RADIUS and r + z.real <= SERIES_SPREAD:
         return cmath.exp(z) * e1_series(z)
     return e1_cf_scaled(z)

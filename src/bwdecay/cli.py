@@ -53,10 +53,25 @@ def _json_value(value) -> str:
 
 # One scan row as CSV, for tau > 0 where every column but the last
 # (method) is a float, and as a json.dumps(..., indent=2) member of the
-# "rows" list.
+# "rows" list: any row through _json_value, and a row of six finite
+# floats with "{!r}", which is float.__repr__, the spelling json uses.
+# The finite row's template ends in the method, spelled once per scan,
+# so format leaves the row's seventh field unread.
 _CSV_ROW = ",".join(["{:.17g}"] * (len(ScanRow._fields) - 1) + ["{}"])
-_JSON_ROW = "    {{\n" + ",\n".join(
-    "      " + json.dumps(name) + ": {}" for name in ScanRow._fields) + "\n    }}"
+_JSON_KEYS = ["      " + json.dumps(name) + ": " for name in ScanRow._fields]
+_JSON_ROW = "    {{\n" + ",\n".join(key + "{}" for key in _JSON_KEYS) + "\n    }}"
+_JSON_FINITE_ROW = "    {{\n" + "".join(
+    key + "{!r},\n" for key in _JSON_KEYS[:-1]) + _JSON_KEYS[-1]
+
+
+def _json_rows(rows, method: str) -> str:
+    finite = _JSON_FINITE_ROW + json.dumps(method) + "\n    }}"
+    # a sum of six floats is finite only if each is; None (tau = 0)
+    # comes in kappa, and a row may fall back on overflow of the sum
+    return ",\n".join(
+        finite.format(*r) if r[6] == method and r[2] is not None
+        and -_INF < r[0] + r[1] + r[2] + r[3] + r[4] + r[5] < _INF
+        else _JSON_ROW.format(*map(_json_value, r)) for r in rows)
 
 
 def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
@@ -158,8 +173,7 @@ def _cmd_scan(args, model: BreitWignerModel) -> int:
         # "rows": [row._asdict(), ...]}, without its pure-Python encoder
         head = "{\n" if meta is None else '{{\n  "meta": {},\n'.format(
             json.dumps(meta, indent=2).replace("\n", "\n  "))
-        text = head + '  "rows": [\n' + ",\n".join(
-            _JSON_ROW.format(*map(_json_value, r)) for r in rows) + "\n  ]\n}\n"
+        text = head + '  "rows": [\n' + _json_rows(rows, args.method) + "\n  ]\n}\n"
     _write_text(text, args.out)
     return 0
 

@@ -58,8 +58,10 @@ def exp_integral_e1(z) -> complex:
         If Re z < -700, where the exp(-z) factor exceeds double range;
         use :func:`exp_integral_e1_scaled` there.
     ConvergenceError
-        If neither kernel converges within its iteration budget (only
-        happens near the cut).
+        If the continued fraction does not converge within its
+        500-step budget, which happens only near the cut, at Re z < 0
+        and |z| > 4.  The power series, which serves |z| <= 4 where
+        |z| + Re z <= 4, has a fixed length and never raises.
     """
     w = _checked(z)
     if w.real < _UNSCALED_LIMIT:

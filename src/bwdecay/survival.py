@@ -130,14 +130,16 @@ def _g_pair(beta: float, tau: float) -> tuple[complex, complex]:
 # effective_hamiltonian at one point; the memo lets both share one G pair
 # while each keeps its own call (and benchmark span).
 @functools.lru_cache(maxsize=1)
-def _pieces(beta: float, tau: float) -> tuple[complex, complex, complex, complex]:
-    # (i_pole, i_tail, j_pole, j_tail) from one G pair: the canonical
-    # pole parts 2 pi e^{-tau/2} and -i pi e^{-tau/2}, and the power
-    # tails; I = i_pole + i_tail and J = j_pole + j_tail.
+def _pieces(beta: float,
+            tau: float) -> tuple[complex, complex, complex, complex, complex]:
+    # (phase, i_pole, i_tail, j_pole, j_tail) from one G pair: the phase
+    # e^{i beta tau}, the canonical pole parts 2 pi e^{-tau/2} and
+    # -i pi e^{-tau/2}, and the power tails; I = i_pole + i_tail and
+    # J = j_pole + j_tail.
     phase = _phase(beta, tau)
     g_plus, g_minus = _g_pair(beta, tau)
     decay = math.exp(-0.5 * tau)
-    return (_TWO_PI * decay, 1j * phase * (g_minus - g_plus),
+    return (phase, _TWO_PI * decay, 1j * phase * (g_minus - g_plus),
             -1j * math.pi * decay, 0.5 * phase * (g_plus + g_minus))
 
 
@@ -150,6 +152,20 @@ def i_beta_at_zero(beta: float) -> float:
     """
     check_beta(beta)
     return math.pi + 2.0 * math.atan(2.0 * beta)
+
+
+_I_TAU_HINT = " (the tau -> 0 limit is i_beta_at_zero)"
+
+
+def _i_and_phase(beta: float, tau: float) -> tuple[complex, complex]:
+    # (I, e^{i beta tau}) for a validated beta and tau > 0
+    if tau < 1e-300:
+        # the components of tau/2 - i*beta*tau denormalize here and the
+        # two E1 arguments collapse onto each other; the true deviation
+        # from the limit is O(tau*ln tau), far below one ulp of it
+        return complex(i_beta_at_zero(beta), 0.0), _phase(beta, tau)
+    phase, i_pole, i_tail, _, _ = _pieces(beta, tau)
+    return i_pole + i_tail, phase
 
 
 def i_beta(beta: float, tau: float) -> complex:
@@ -169,14 +185,8 @@ def i_beta(beta: float, tau: float) -> complex:
         I(tau); N/(2 pi) times this, dephased, is the amplitude.
     """
     check_beta(beta)
-    check_tau(tau, hint=" (the tau -> 0 limit is i_beta_at_zero)")
-    if tau < 1e-300:
-        # the components of tau/2 - i*beta*tau denormalize here and the
-        # two E1 arguments collapse onto each other; the true deviation
-        # from the limit is O(tau*ln tau), far below one ulp of it
-        return complex(i_beta_at_zero(beta), 0.0)
-    i_pole, i_tail, _, _ = _pieces(beta, tau)
-    return i_pole + i_tail
+    check_tau(tau, hint=_I_TAU_HINT)
+    return _i_and_phase(beta, tau)[0]
 
 
 def j_beta(beta: float, tau: float) -> complex:
@@ -187,7 +197,7 @@ def j_beta(beta: float, tau: float) -> complex:
     """
     check_beta(beta)
     check_tau(tau, hint=" (J diverges logarithmically at tau = 0)")
-    _, _, j_pole, j_tail = _pieces(beta, tau)
+    _, _, _, j_pole, j_tail = _pieces(beta, tau)
     return j_pole + j_tail
 
 
@@ -235,11 +245,11 @@ def amplitude(model: BreitWignerModel, tau: float) -> AmplitudeValue:
     """
     if tau == 0:
         return AmplitudeValue(complex(1.0, 0.0), 0.0)
-    beta = model.beta
-    # i_beta first: it validates beta and tau, which _phase expects
-    i_val = i_beta(beta, tau)
+    # the model has validated beta
+    check_tau(tau, hint=_I_TAU_HINT)
+    i_val, phase = _i_and_phase(model.beta, tau)
     return AmplitudeValue((model.normalization() / _TWO_PI)
-                          * _phase(beta, tau).conjugate() * i_val, float(tau))
+                          * phase.conjugate() * i_val, float(tau))
 
 
 def survival_probability(model: BreitWignerModel, tau: float) -> float:
@@ -278,9 +288,8 @@ def effective_hamiltonian(model: BreitWignerModel,
         When |I| < 1e-280 and the ratio would be garbage.
     """
     beta = model.beta
-    check_beta(beta)
     check_tau(tau, hint=" (the mean energy diverges at t = 0)")
-    i_pole, i_tail, j_pole, j_tail = _pieces(beta, tau)
+    _, i_pole, i_tail, j_pole, j_tail = _pieces(beta, tau)
     i_val = i_pole + i_tail
     if abs(i_val) < _NEAR_ZERO:
         raise NearZeroAmplitude(
@@ -301,7 +310,6 @@ def effective_hamiltonian_brace(model: BreitWignerModel,
     not a production path.
     """
     beta = model.beta
-    check_beta(beta)
     check_tau(tau, hint=" (the mean energy diverges at t = 0)")
     phase = _phase(beta, tau)
     g_plus, g_minus = _g_pair(beta, tau)

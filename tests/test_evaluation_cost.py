@@ -7,10 +7,13 @@ the quadrature amplitude and J/I share one run of the oracle's rule,
 which integrates I and J together on the same panels.  The sharing
 goes through one-entry memos, which must never change a value or
 swallow an error.  The late-time coefficient tables are generated once
-per beta, not per point.
+per beta, not per point.  The E1 power series is a Horner polynomial of
+at most 33 steps, and it sees only arguments where its cancellation is
+at most e**4.
 """
 
 import cmath
+import importlib.util
 import json
 import math
 import os
@@ -21,7 +24,7 @@ import warnings
 import pytest
 
 import bwdecay
-from bwdecay import asymptotics, quadrature, survival
+from bwdecay import _kernels_py, asymptotics, quadrature, survival
 from bwdecay.crossover import crossover_time
 from bwdecay.errors import ConvergenceError
 from bwdecay.model import BreitWignerModel
@@ -245,3 +248,51 @@ def test_quadrature_memo_keys_on_settings():
         fresh.append(i_by_quadrature(2.0, 3.0, s))
     assert fresh[0] != fresh[1]
     assert [repr(v) for v in shared] == [repr(v) for v in fresh + fresh[:1]]
+
+
+def _disk(radius, circles=16, angles=48):
+    # every angle on circles out to ``radius``, the circle itself included
+    return [cmath.rect(radius * i / circles, math.pi * j / angles)
+            for i in range(1, circles + 1) for j in range(-angles + 1, angles + 1)]
+
+
+def test_series_makes_at_most_33_horner_steps():
+    # counted by the benchmark's own line tracer on the kernel loops
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    zs = _disk(4.0) + [complex(1e-300, 0.0), complex(0.0, -4.0), complex(-4.0, 1e-9)]
+    counts = tracing.count_kernel_iterations(
+        lambda: [_kernels_py.e1_series(z) for z in zs])["series"]
+    assert len(counts) == len(zs)
+    assert min(counts) == 12 and max(counts) == 33
+
+
+def test_series_sees_only_arguments_it_serves_to_working_precision(monkeypatch):
+    # e1_scaled sends z to the series exactly where |z| <= 4 and
+    # |z| + Re z <= 4, whatever the scan or argument
+    seen = []
+    series = _kernels_py.e1_series
+
+    def recording(z):
+        seen.append(z)
+        return series(z)
+
+    monkeypatch.setattr(_kernels_py, "e1_series", recording)
+    zs = _disk(4.5) + [complex(2.0, 0.0), complex(2.0, 1e-9), complex(4.0, 0.0)]
+    for z in zs:
+        try:
+            _kernels_py.e1_scaled(z)
+        except ConvergenceError:
+            pass  # the fraction near the cut
+    served = [z for z in zs if abs(z) <= 4.0 and abs(z) + z.real <= 4.0]
+    assert seen == served and len(served) > len(zs) // 2
+    seen.clear()
+    for beta in (1e-3, 0.05, 0.5, 2.0, 10.0, 100.0, 1e3):
+        try:
+            scan_rows(BreitWignerModel.from_beta(beta), time_grid(0.01, 40.0, 200))
+        except ConvergenceError:
+            pass  # the small-beta hole, ROADMAP item 3
+    assert seen and all(abs(z) <= 4.0 and abs(z) + z.real <= 4.0 for z in seen)

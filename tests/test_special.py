@@ -1,5 +1,6 @@
 """Complex exponential integral: frozen references, an integral
-representation oracle, and the documented failure modes."""
+representation oracle, the kernels on |z| <= 4.5 and at their seam
+against 50-digit mpmath, and the documented failure modes."""
 
 import cmath
 import math
@@ -177,3 +178,74 @@ def test_conjugate_reflection(re, im):
         assume(False)
     lower = exp_integral_e1(z.conjugate())
     assert lower == pytest.approx(upper.conjugate(), rel=5e-14)
+
+
+# -- the series region and the seam, against mpmath at 50 digits ----------
+
+def _mp_e1(z):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return complex(mpmath.e1(mpmath.mpc(z.real, z.imag)))
+
+
+def _in_series_region(z):
+    r = abs(z)
+    return r <= _kernels_py.SERIES_RADIUS and r + z.real <= _kernels_py.SERIES_SPREAD
+
+
+def _near_cut(z):
+    # where the fraction stalls at |z| <= 4.5: Re z < 0 past the series
+    # radius, within |Im z| < 2 of the cut (it reaches |Im z| = 1.91)
+    return abs(z) > _kernels_py.SERIES_RADIUS and z.real < 0.0 and abs(z.imag) < 2.0
+
+
+def _small_disk_points():
+    # every angle on 18 circles out to |z| = 4.5, and the pole images
+    # z+- = +-tau/2 - i beta tau of beta in [1e-3, 1e3] on the same disk
+    pts = [cmath.rect(0.25 * i, math.pi * j / 24)
+           for i in range(1, 19) for j in range(-23, 25)]
+    for beta in (1e-3, 1e-2, 0.05, 0.2, 0.5, 1.0, 2.0, 10.0, 1e2, 1e3):
+        step = 4.5 / 20 / math.hypot(0.5, beta)
+        for i in range(1, 21):
+            tau = i * step
+            pts += [complex(0.5 * tau, -beta * tau), complex(-0.5 * tau, -beta * tau)]
+    return [z for z in pts if not (z.imag == 0.0 and z.real < 0.0) and not _near_cut(z)]
+
+
+def test_small_disk_against_mpmath():
+    # the series holds 1e-14 where it runs (cancellation at most e**4),
+    # the fraction 5e-14 on the rest of the disk
+    worst = {True: 0.0, False: 0.0}
+    for z in _small_disk_points():
+        expected = _mp_e1(z)
+        err = max(_rel(exp_integral_e1(z), expected),
+                  _rel(cmath.exp(-z) * exp_integral_e1_scaled(z), expected))
+        series = _in_series_region(z)
+        worst[series] = max(worst[series], err)
+    assert worst[True] < 1e-14, worst
+    assert worst[False] < 5e-14, worst
+
+
+@pytest.mark.parametrize("q", range(1, len(_kernels_py._SERIES_HORNER) + 1))
+def test_term_table_floor_lies_under_e1(q):
+    # the term table assumes |E1| >= e**-r/(r + 2) on |z| = r; on the cut
+    # E1 takes its value from above
+    r = 0.25 * q
+    floor = math.exp(-r) / (r + 2.0)
+    arc = [cmath.rect(r, math.pi * j / 32) for j in range(-31, 33)]
+    assert min(abs(_mp_e1(z)) for z in arc) >= floor
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.3, -0.3, 0.7, -0.7, 1.1, -1.1, 1.5, -1.5])
+def test_series_and_fraction_agree_where_the_spread_reaches_four(angle):
+    # on |z| + Re z = 4 e1_scaled switches between the kernels
+    z = cmath.rect(4.0 / (1.0 + math.cos(angle)), angle)
+    series = _kernels_py.e1_series(z)
+    fraction = cmath.exp(-z) * _kernels_py.e1_cf_scaled(z)
+    assert _rel(series, fraction) < 1e-13
+    assert _rel(series, _mp_e1(z)) < 1e-14
+
+
+def test_series_refuses_beyond_its_table():
+    with pytest.raises(ValueError):
+        _kernels_py.e1_series(complex(8.5, 0.0))

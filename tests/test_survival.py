@@ -147,9 +147,13 @@ def test_survival_probability_fails_like_the_amplitude(monkeypatch):
         survival_probability(m, tau)
     # and an |a|**2 past 1 + P_SLACK is refused by both, not clipped
     m = BreitWignerModel.from_beta(2.0)
-    i_beta_true = survival.i_beta
-    monkeypatch.setattr(survival, "i_beta",
-                        lambda beta, tau: 1.01 * i_beta_true(beta, tau))
+    i_and_phase = survival._i_and_phase
+
+    def inflated(beta, tau):
+        i_val, phase = i_and_phase(beta, tau)
+        return 1.01 * i_val, phase
+
+    monkeypatch.setattr(survival, "_i_and_phase", inflated)
     with pytest.raises(ArithmeticError):
         amplitude(m, 0.01).probability
     with pytest.raises(ArithmeticError):
