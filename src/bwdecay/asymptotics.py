@@ -34,10 +34,11 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
-from .model import BreitWignerModel, _phase, check_beta, check_real, check_tau
+from .model import (BreitWignerModel, _phase, check_beta, check_int, check_real,
+                    check_tau)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -51,25 +52,16 @@ class AsymptoticRangeWarning(UserWarning):
     """Last retained term grew: outside the series' reliable region."""
 
 
-@dataclass(frozen=True)
-class LambdaCoefficients:
+class LambdaCoefficients(namedtuple("LambdaCoefficients",
+                                    "lambda_bare d2 d4 big_d2 big_d4")):
     """Coefficients of Lambda(t) = lambda_bare + big_d2/t**2 + big_d4/t**4.
 
-    Invariant: big_dk = (8 pi G / c**2) * dk, the same conversion that
-    maps the bare energy density onto lambda_bare.
+    An immutable named tuple.  Invariant: big_dk = (8 pi G / c**2) * dk,
+    the same conversion that maps the bare energy density onto
+    lambda_bare.
     """
 
-    lambda_bare: float
-    d2: float
-    d4: float
-    big_d2: float
-    big_d4: float
-
-
-def _check_order(order: int, top: int, name: str = "order") -> None:
-    if not (isinstance(order, int) and 1 <= order <= top):
-        raise DomainError("{} must be an integer in 1..{}, got {!r}".format(
-            name, top, order))
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=1)
@@ -137,7 +129,7 @@ def _series(coefficients, beta: float, tau: float, order: int, top: int,
     # term exceeds the one before it.
     check_beta(beta)
     check_tau(tau)
-    _check_order(order, top)
+    check_int("order", order, 1, top)
     coeffs = coefficients(beta)[:order]
     x = 1j / tau
     acc = 0j

@@ -23,12 +23,11 @@ import functools
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
 
-from .asymptotics import (AMPLITUDE_TERMS, AsymptoticRangeWarning, _check_order,
-                          amplitude_late, i_brace_coefficients)
+from .asymptotics import (AMPLITUDE_TERMS, AsymptoticRangeWarning, amplitude_late,
+                          i_brace_coefficients)
 from .errors import BracketError, DomainError, ToleranceNotMet
-from .model import BreitWignerModel, check_real
+from .model import BreitWignerModel, check_int, check_real
 from .scan import time_grid
 
 _BRACKET_LO = 1.0
@@ -37,21 +36,16 @@ _SCAN_POINTS = 481
 _MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class CrossoverResult:
-    """Solved cross-over time and solver provenance.
+class CrossoverResult(namedtuple(
+        "CrossoverResult", "tau_t bracket residual order iterations t_physical")):
+    """Solved cross-over time and solver provenance, an immutable named tuple.
 
     tau_t is dimensionless; t_physical = hbar * tau_t / gamma0 in the
     model's units.  bracket is the grid interval the root was isolated
     in, residual the value of the log-difference F at tau_t.
     """
 
-    tau_t: float
-    bracket: tuple
-    residual: float
-    order: int
-    iterations: int
-    t_physical: float
+    __slots__ = ()
 
 
 SurvivorCount = namedtuple("SurvivorCount", ["expected", "resolvable"])
@@ -127,7 +121,7 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
     ToleranceNotMet
         If 200 bisection steps leave |F| above ``tol``.
     """
-    _check_order(order, AMPLITUDE_TERMS)
+    check_int("order", order, 1, AMPLITUDE_TERMS)
     check_real("tol", tol, positive=True)
     a_const = model.normalization() if amplitude_const is None else amplitude_const
     check_real("amplitude_const", a_const, positive=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import DomainError
@@ -38,6 +38,14 @@ def check_real(name: str, value: float, positive: bool = False) -> None:
             name, "positive " if positive else "", value))
 
 
+def check_int(name: str, value: int, lo: int, hi: int | None = None) -> None:
+    """Raise DomainError unless ``value`` is an integer in lo..hi (>= lo without hi)."""
+    if not (isinstance(value, int) and lo <= value and (hi is None or value <= hi)):
+        raise DomainError("{} must be an integer {}, got {!r}".format(
+            name, ">= {}".format(lo) if hi is None else "in {}..{}".format(lo, hi),
+            value))
+
+
 def check_tau(tau: float, hint: str = "", zero_ok: bool = False) -> None:
     """Raise DomainError unless ``tau`` is a finite real > 0 (>= 0 if ``zero_ok``).
 
@@ -48,6 +56,11 @@ def check_tau(tau: float, hint: str = "", zero_ok: bool = False) -> None:
             and (tau > 0 or (zero_ok and tau == 0))):
         raise DomainError("tau must be a finite {} real, got {!r}{}".format(
             "non-negative" if zero_ok else "positive", tau, hint))
+
+
+# Below this tau the closed form and the oracle both return I(0): the gap
+# I(tau) - I(0) is O(tau ln 1/tau), far below one ulp of I(0).
+_TAU_FLOOR = 1e-300
 
 
 def _phase(beta: float, tau: float) -> complex:
@@ -64,14 +77,16 @@ def _phase(beta: float, tau: float) -> complex:
     return cmath.exp(1j * beta_tau)
 
 
-@dataclass(frozen=True)
-class BreitWignerModel:
+class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
     """Parameters of a truncated Breit-Wigner energy density.
 
     The density is a Lorentzian of width ``gamma0`` centered at ``e0``,
     set to zero below ``emin`` and renormalized to unit integral:
 
         w(E) = (N / 2 pi) * gamma0 / ((E - e0)**2 + gamma0**2 / 4),  E >= emin.
+
+    An immutable named tuple, validated on construction and by
+    ``_replace``.
 
     Parameters
     ----------
@@ -86,26 +101,25 @@ class BreitWignerModel:
         tau counts lifetimes directly.
     """
 
-    e0: float
-    gamma0: float
-    emin: float
-    hbar: float = 1.0
+    # No __slots__: the instance dict holds the cached beta.  _replace
+    # builds through _make, so it validates as the constructor does.
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
-        for name in ("e0", "gamma0", "emin", "hbar"):
-            check_real(name, getattr(self, name))
-        if self.gamma0 <= 0:
-            raise DomainError("gamma0 must be > 0, got {!r}".format(self.gamma0))
-        if self.hbar <= 0:
-            raise DomainError("hbar must be > 0, got {!r}".format(self.hbar))
-        if self.e0 <= self.emin:
+    def __new__(cls, e0: float, gamma0: float, emin: float, hbar: float = 1.0):
+        check_real("e0", e0)
+        check_real("gamma0", gamma0, positive=True)
+        check_real("emin", emin)
+        check_real("hbar", hbar, positive=True)
+        if e0 <= emin:
             raise DomainError(
                 "e0 must exceed emin (got e0 = {!r}, emin = {!r}); "
-                "the resonance must sit above the spectrum edge".format(
-                    self.e0, self.emin
-                )
-            )
+                "the resonance must sit above the spectrum edge".format(e0, emin))
+        self = super().__new__(cls, e0, gamma0, emin, hbar)
         check_beta(self.beta)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BreitWignerModel is immutable; use _replace()")
 
     @classmethod
     def from_beta(cls, beta: float, gamma0: float = 1.0, emin: float = 0.0,
@@ -122,7 +136,8 @@ class BreitWignerModel:
         """Resonance position above the edge, in units of the width.
 
         Computed once per model, on construction; fields, eq, hash and
-        repr are the four parameters alone.
+        repr are the four parameters alone.  cached_property writes the
+        instance dict directly, past ``__setattr__``.
         """
         return (self.e0 - self.emin) / self.gamma0
 

@@ -41,10 +41,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .errors import DomainError, ToleranceNotMet
-from .model import BreitWignerModel, _phase, check_beta, check_real, check_tau
+from .errors import ToleranceNotMet
+from .model import (_TAU_FLOOR, BreitWignerModel, _phase, check_beta, check_int,
+                    check_real, check_tau)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -75,25 +76,25 @@ _NODES = tuple((s * x, wk, wg) for x, wk, wg in zip(_XGK, _WGK, _WG)
     (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),)
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances and the panel cap of the oracle.
+class QuadratureSettings(namedtuple("QuadratureSettings",
+                                    "rel_tol abs_tol max_subdivisions")):
+    """Tolerances and the panel cap of the oracle, an immutable named tuple.
 
     rel_tol, abs_tol bound the certified error of a returned value;
     max_subdivisions caps the number of panels of the adaptive rule
-    (the split at the pole image makes two to start with).
+    (the split at the pole image makes two to start with).  Validated on
+    construction and by ``_replace``.
     """
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 10_000
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
-        check_real("rel_tol", self.rel_tol, positive=True)
-        check_real("abs_tol", self.abs_tol, positive=True)
-        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
-            raise DomainError("max_subdivisions must be an integer >= 1, got {!r}".format(
-                self.max_subdivisions))
+    def __new__(cls, rel_tol: float = 1e-10, abs_tol: float = 1e-14,
+                max_subdivisions: int = 10_000):
+        check_real("rel_tol", rel_tol, positive=True)
+        check_real("abs_tol", abs_tol, positive=True)
+        check_int("max_subdivisions", max_subdivisions, 1)
+        return super().__new__(cls, rel_tol, abs_tol, max_subdivisions)
 
 
 _DEFAULT_SETTINGS = QuadratureSettings()
@@ -201,18 +202,10 @@ def _enforce(value: complex, err: float, settings: QuadratureSettings,
 # A quadrature scan row asks for I twice and for J once at one point,
 # through the amplitude and through J/I; the memo lets all three share
 # one integration while each keeps its own call (and benchmark span).
-# Settings is a frozen dataclass, so it is part of the key.
+# Settings is a hashable named tuple, so it is part of the key.
 @functools.lru_cache(maxsize=1)
 def _integrals(beta: float, omega: float, settings: QuadratureSettings) -> tuple:
     return quad(beta, omega, settings)
-
-
-def _i_signed(beta: float, omega: float,
-              settings: QuadratureSettings) -> tuple[complex, float]:
-    # I with an arbitrary-sign frequency; omega = +tau is the physical
-    # case, the opposite sign exists so conjugation symmetry can be
-    # verified by an honest reevaluation rather than by construction.
-    return _integrals(beta, omega, settings)[0]
 
 
 def i_by_quadrature(beta: float, tau: float,
@@ -225,7 +218,9 @@ def i_by_quadrature(beta: float, tau: float,
         Lower limit parameter, > 0.
     tau : float
         Dimensionless time, >= 0 (the integral converges absolutely, so
-        tau = 0 is fine here, unlike the closed-form path).
+        tau = 0 is fine here, unlike the closed-form path).  Below
+        tau = 1e-300 the integral is taken at tau = 0, as the closed form
+        takes its limit there.
     settings : QuadratureSettings, optional
 
     Raises
@@ -236,7 +231,9 @@ def i_by_quadrature(beta: float, tau: float,
     check_beta(beta)
     check_tau(tau, zero_ok=True)
     s = settings or _DEFAULT_SETTINGS
-    value, err = _i_signed(beta, float(tau), s)
+    # below the floor, where 1/tau overflows, I is integrated at tau = 0
+    omega = float(tau) if tau >= _TAU_FLOOR else 0.0
+    value, err = _integrals(beta, omega, s)[0]
     return _enforce(value, err, s, "I", tau)
 
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .asymptotics import (AMPLITUDE_TERMS, SERIES_TERMS, _check_order,
-                          amplitude_late, ratio_series)
+from .asymptotics import AMPLITUDE_TERMS, SERIES_TERMS, amplitude_late, ratio_series
 from .errors import DomainError
-from .model import BreitWignerModel, check_tau
+from .model import BreitWignerModel, check_int, check_tau
 from .quadrature import amplitude_by_quadrature, i_by_quadrature, j_by_quadrature
 from .survival import (checked_probability, effective_hamiltonian,
                        energy_and_rate, survival_probability)
@@ -23,8 +22,6 @@ from .survival import (checked_probability, effective_hamiltonian,
 METHODS = ("exact", "asymptotic", "quadrature")
 
 
-# A named tuple, not a frozen dataclass: a row is built per grid point,
-# and the tuple takes a quarter of the time to build.
 ScanRow = namedtuple("ScanRow", "tau p kappa gamma_ratio re_h im_h method")
 ScanRow.__doc__ = """One grid record, an immutable named tuple.
 
@@ -44,10 +41,7 @@ def time_grid(tau_min: float, tau_max: float, points: int, kind: str = "log") ->
     The endpoints are produced exactly (no accumulated stepping error),
     so repeated calls with the same arguments give identical grids.
     """
-    if not isinstance(points, int):
-        raise DomainError("points must be an integer, got {!r}".format(points))
-    if points < 2:
-        raise DomainError("points must be >= 2, got {!r}".format(points))
+    check_int("points", points, 2)
     if kind not in ("linear", "log"):
         raise DomainError("grid kind must be 'linear' or 'log', got {!r}".format(kind))
     check_tau(tau_min, hint=" (tau_min of a {} grid)".format(kind),
@@ -124,7 +118,7 @@ def scan_rows(model: BreitWignerModel, taus, method: str = "exact",
     """
     if method not in METHODS:
         raise DomainError("method must be one of {}, got {!r}".format(METHODS, method))
-    _check_order(terms, SERIES_TERMS, "terms")
+    check_int("terms", terms, 1, SERIES_TERMS)
     if method == "asymptotic":
         return [_asymptotic_row(model, tau, terms) for tau in taus]
     build = _exact_row if method == "exact" else _quadrature_row

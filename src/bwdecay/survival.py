@@ -35,7 +35,7 @@ import math
 from collections import namedtuple
 
 from .errors import NearZeroAmplitude
-from .model import BreitWignerModel, _phase, check_beta, check_tau
+from .model import _TAU_FLOOR, BreitWignerModel, _phase, check_beta, check_tau
 from .special import exp_integral_e1_scaled
 
 _TWO_PI = 2.0 * math.pi
@@ -75,9 +75,6 @@ def energy_and_rate(beta: float, r: complex) -> tuple[float, float]:
     return beta + r.real, -2.0 * r.imag
 
 
-# The two records are named tuples, not frozen dataclasses: an exact
-# scan row builds one of each, and a tuple takes a quarter of the time
-# to build.
 class AmplitudeValue(namedtuple("AmplitudeValue", "value tau")):
     """Survival amplitude at one dimensionless time, an immutable named tuple.
 
@@ -159,7 +156,7 @@ _I_TAU_HINT = " (the tau -> 0 limit is i_beta_at_zero)"
 
 def _i_and_phase(beta: float, tau: float) -> tuple[complex, complex]:
     # (I, e^{i beta tau}) for a validated beta and tau > 0
-    if tau < 1e-300:
+    if tau < _TAU_FLOOR:
         # the components of tau/2 - i*beta*tau denormalize here and the
         # two E1 arguments collapse onto each other; the true deviation
         # from the limit is O(tau*ln tau), far below one ulp of it

@@ -74,12 +74,13 @@ sys.exit(bwdecay.cli.main(["scan", "--beta", "2.5", "--points", "7",
 
 # python -S skips site and its .pth hooks, which may import typing
 # themselves, so whatever of these is loaded after the import, the
-# package loaded it.
+# package loaded it.  dataclasses would bring inspect, ast and dis.
 _BARE_PROBE = """
 import sys
 sys.path.insert(0, {src!r})
 import bwdecay.cli
-print(" ".join(m for m in ("bwdecay.cli", "typing", "scipy") if m in sys.modules))
+print(" ".join(m for m in ("bwdecay.cli", "typing", "scipy", "dataclasses", "inspect")
+               if m in sys.modules))
 """
 
 

@@ -1,7 +1,8 @@
 """Model container: validation, derived quantities, density shape."""
 
-import dataclasses
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bwdecay.errors import DomainError
-from bwdecay.model import BreitWignerModel
+from bwdecay.model import BreitWignerModel, check_int
+from bwdecay.quadrature import QuadratureSettings
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,7 +51,55 @@ def test_beta_is_computed_once_and_is_not_a_field():
     twin = BreitWignerModel(e0=3.0, gamma0=0.7, emin=-1.1)
     assert m == twin and hash(m) == hash(twin)
     assert repr(m) == "BreitWignerModel(e0=3.0, gamma0=0.7, emin=-1.1, hbar=1.0)"
-    assert [f.name for f in dataclasses.fields(m)] == ["e0", "gamma0", "emin", "hbar"]
+    assert m._fields == ("e0", "gamma0", "emin", "hbar")
+
+
+@pytest.mark.parametrize("record,change", [
+    (BreitWignerModel(e0=3.0, gamma0=0.7, emin=-1.1), dict(gamma0=-1.0)),
+    (BreitWignerModel(e0=3.0, gamma0=0.7, emin=-1.1), dict(hbar=0.0)),
+    (BreitWignerModel(e0=3.0, gamma0=0.7, emin=-1.1), dict(emin=5.0)),
+    (BreitWignerModel(e0=3.0, gamma0=0.7, emin=-1.1), dict(e0=math.inf)),
+    (QuadratureSettings(), dict(rel_tol=-1.0)),
+    (QuadratureSettings(), dict(abs_tol=math.nan)),
+    (QuadratureSettings(), dict(max_subdivisions=0)),
+])
+def test_replace_validates_like_the_constructor(record, change):
+    with pytest.raises(DomainError):
+        record._replace(**change)
+
+
+def test_model_is_immutable_and_round_trips():
+    m = BreitWignerModel(e0=3.0, gamma0=0.7, emin=-1.1, hbar=2.0)
+    assert m.beta is m.beta
+    for name in ("beta", "e0", "x"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 1.0)
+    assert m.beta == (3.0 + 1.1) / 0.7 and m.e0 == 3.0
+    moved = m._replace(e0=5.0)
+    assert moved.beta == (5.0 + 1.1) / 0.7 and m.beta == (3.0 + 1.1) / 0.7
+    for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+        assert twin == m and hash(twin) == hash(m) and type(twin) is BreitWignerModel
+        assert twin.beta == m.beta
+    assert m._asdict() == dict(e0=3.0, gamma0=0.7, emin=-1.1, hbar=2.0)
+
+
+@pytest.mark.parametrize("value,lo,hi,message", [
+    (0, 1, 5, "order must be an integer in 1..5, got 0"),
+    (6, 1, 5, "order must be an integer in 1..5, got 6"),
+    (2.0, 1, 5, "order must be an integer in 1..5, got 2.0"),
+    (1, 2, None, "order must be an integer >= 2, got 1"),
+    ("3", 2, None, "order must be an integer >= 2, got '3'"),
+])
+def test_check_int_refuses(value, lo, hi, message):
+    with pytest.raises(DomainError) as info:
+        check_int("order", value, lo, hi)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value,lo,hi",
+                         [(1, 1, 5), (5, 1, 5), (True, 1, 5), (10**9, 2, None)])
+def test_check_int_accepts(value, lo, hi):
+    check_int("order", value, lo, hi)
 
 
 def test_from_beta_round_trips():

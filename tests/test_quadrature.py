@@ -1,7 +1,6 @@
 """Quadrature oracle: settings contract, agreement with the closed
 forms, and the honest failure path."""
 
-import dataclasses
 import math
 
 import mpmath as mp
@@ -11,7 +10,6 @@ from bwdecay.errors import DomainError, ToleranceNotMet
 from bwdecay.model import BreitWignerModel
 from bwdecay.quadrature import (
     QuadratureSettings,
-    _i_signed,
     amplitude_by_quadrature,
     i_by_quadrature,
     j_by_quadrature,
@@ -73,8 +71,7 @@ def test_settings_defaults():
     assert s.abs_tol == 1e-14
     assert s.max_subdivisions == 10_000
     # the ray has no truncation point, so no eta_max
-    assert [f.name for f in dataclasses.fields(s)] == [
-        "rel_tol", "abs_tol", "max_subdivisions"]
+    assert s._fields == ("rel_tol", "abs_tol", "max_subdivisions")
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0, 10.0, 100.0])
@@ -148,8 +145,8 @@ def test_conjugation_symmetry_by_reevaluation():
     # I(-tau) = conj(I(tau)) holds for the integral; evaluated on both
     # signs independently rather than imposed
     s = QuadratureSettings()
-    plus, _ = _i_signed(2.0, 7.3, s)
-    minus, _ = _i_signed(2.0, -7.3, s)
+    plus, _ = quad(2.0, 7.3, s)[0]
+    minus, _ = quad(2.0, -7.3, s)[0]
     assert abs(minus - plus.conjugate()) < 1e-9
 
 
@@ -170,7 +167,7 @@ def test_refinement_discrepancies_do_not_grow():
     # successive tolerance tightenings reach the roundoff floor, so allow
     # an absolute cushion instead of demanding strict decrease
     values = [
-        _i_signed(2.0, 3.0, QuadratureSettings(rel_tol=r))[0]
+        quad(2.0, 3.0, QuadratureSettings(rel_tol=r))[0][0]
         for r in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
     ]
     d = [abs(b - a) for a, b in zip(values, values[1:])]
@@ -262,11 +259,29 @@ def test_oracle_against_mpmath_over_the_domain(beta):
             assert max(_row_errors(beta, row, i_ref, j_ref)) < 1e-12, tau
 
 
+TINY_TAUS = [1e-310, 1e-320, 5e-324]
+
+
 def test_nan_fails_the_contract():
     # at a subnormal tau the ray scale 1/tau overflows and the sums turn
-    # NaN; the rule stops at once and the contract refuses the value
-    with pytest.raises(ToleranceNotMet):
-        i_by_quadrature(2.0, 1e-320)
+    # NaN; the rule stops at once and the contract refuses J, which
+    # diverges as tau -> 0 and has no limit to fall back on
+    for tau in TINY_TAUS:
+        with pytest.raises(ToleranceNotMet):
+            j_by_quadrature(2.0, tau)
+
+
+@pytest.mark.parametrize("tau", TINY_TAUS)
+@pytest.mark.parametrize("beta", [0.05, 2.0, 100.0])
+def test_i_below_the_tau_floor_is_its_limit(beta, tau):
+    # below tau = 1e-300 I is integrated at tau = 0, as the closed form
+    # takes its limit there; I(tau) - I(0) is O(tau ln 1/tau)
+    i_val = i_by_quadrature(beta, tau)
+    assert i_val == i_by_quadrature(beta, 0.0)
+    assert _rel(i_val, i_beta_at_zero(beta)) < 1e-10
+    m = BreitWignerModel.from_beta(beta)
+    limit = m.normalization() / (2.0 * math.pi) * i_beta_at_zero(beta)
+    assert _rel(amplitude_by_quadrature(m, tau), limit) < 1e-10
 
 
 @pytest.mark.parametrize(
