@@ -33,7 +33,6 @@ from .errors import (
 )
 from .model import BreitWignerModel
 from .quadrature import (
-    QuadratureSettings,
     amplitude_by_quadrature,
     i_by_quadrature,
     j_by_quadrature,
@@ -67,7 +66,6 @@ __all__ = [
     "EffectiveHamiltonianValue",
     "LambdaCoefficients",
     "NearZeroAmplitude",
-    "QuadratureSettings",
     "ScanRow",
     "SurvivorCount",
     "ToleranceNotMet",

@@ -172,6 +172,26 @@ def ratio_series(beta: float, tau: float, order: int) -> complex:
     return _series(ratio_coefficients, beta, tau, order, SERIES_TERMS, "RATIO")
 
 
+def energy_series(beta: float, tau: float, order: int) -> float:
+    """Late-time (E - Emin)/gamma0 of the J/I series truncated to
+    ``order`` terms (1..5).
+
+    In E = E0 + gamma0 Re[J/I] the series' constant -beta cancels
+    E0 - Emin exactly, and only its even powers of i/tau are real; so
+    the energy is summed from those alone, free of the cancellation in
+    beta + Re[J/I]: 0 for orders 1 and 2, -c_2/tau**2 for 3 and 4, plus
+    c_4/tau**4 at 5.  Warns of nothing; ratio_series at the order does.
+    """
+    check_beta(beta)
+    check_tau(tau)
+    check_int("order", order, 1, SERIES_TERMS)
+    c = ratio_coefficients(beta)
+    energy = -c[2] / tau ** 2 if order >= 3 else 0.0
+    if order == SERIES_TERMS:
+        energy += c[4] / tau ** 4
+    return energy
+
+
 def amplitude_late(model: BreitWignerModel, tau: float, order: int) -> complex:
     """Late-time survival amplitude truncated to ``order`` terms (1..4).
 
@@ -190,15 +210,10 @@ def amplitude_late(model: BreitWignerModel, tau: float, order: int) -> complex:
 def energy_late(model: BreitWignerModel, tau: float) -> float:
     """Late-time instantaneous energy, physical units.
 
-    Only even powers of i/tau in the ratio series are real, and the
-    constant -beta cancels the beta of E = Emin + gamma0 (beta +
-    Re[J/I]) exactly, so the late-time energy relaxes to Emin like
-    1/tau**2 from below.
+    Emin + gamma0 times :func:`energy_series` at all five terms: the
+    energy relaxes to Emin like 1/tau**2 from below.
     """
-    check_tau(tau)  # the model checked its beta
-    c = ratio_coefficients(model.beta)
-    correction = -c[2] / tau ** 2 + c[4] / tau ** 4
-    return model.emin + model.gamma0 * correction
+    return model.emin + model.gamma0 * energy_series(model.beta, tau, SERIES_TERMS)
 
 
 def decay_rate_late(model: BreitWignerModel, tau: float) -> float:

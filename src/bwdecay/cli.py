@@ -55,8 +55,9 @@ def _json_value(value) -> str:
 # (method) is a float, and as a json.dumps(..., indent=2) member of the
 # "rows" list: any row through _json_value, and a row of six finite
 # floats with "{!r}", which is float.__repr__, the spelling json uses.
-# The finite row's template ends in the method, spelled once per scan,
-# so format leaves the row's seventh field unread.
+# The finite row's template ends in the method, spelled once per scan
+# (scan_rows stamps every row with it), so format leaves the row's
+# seventh field unread.
 _CSV_ROW = ",".join(["{:.17g}"] * (len(ScanRow._fields) - 1) + ["{}"])
 _JSON_KEYS = ["      " + json.dumps(name) + ": " for name in ScanRow._fields]
 _JSON_ROW = "    {{\n" + ",\n".join(key + "{}" for key in _JSON_KEYS) + "\n    }}"
@@ -69,7 +70,7 @@ def _json_rows(rows, method: str) -> str:
     # a sum of six floats is finite only if each is; None (tau = 0)
     # comes in kappa, and a row may fall back on overflow of the sum
     return ",\n".join(
-        finite.format(*r) if r[6] == method and r[2] is not None
+        finite.format(*r) if r[2] is not None
         and -_INF < r[0] + r[1] + r[2] + r[3] + r[4] + r[5] < _INF
         else _JSON_ROW.format(*map(_json_value, r)) for r in rows)
 

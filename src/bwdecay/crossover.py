@@ -34,6 +34,8 @@ _BRACKET_LO = 1.0
 _BRACKET_HI = 1.0e4
 _SCAN_POINTS = 481
 _MAX_ITER = 200
+# acceptance bound on |F(tau_T)|
+_TOL = 1e-10
 
 
 class CrossoverResult(namedtuple(
@@ -91,7 +93,6 @@ def _decreasing_from(beta: float, order: int, grid) -> int:
 
 
 def crossover_time(model: BreitWignerModel, order: int = 1,
-                   tol: float = 1e-10,
                    amplitude_const: float | None = None) -> CrossoverResult:
     """Largest root of the exponential/power-law equality condition.
 
@@ -102,8 +103,6 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
         Truncation order of the late-time amplitude, 1..4.  Order 1
         matches the classic tau = 2 ln(2 pi (beta**2+1/4)) + 2 ln tau
         estimate.
-    tol : float, optional
-        Acceptance bound on |F(tau_T)|.
     amplitude_const : float, optional
         Canonical-era amplitude prefactor A; defaults to the model
         normalization N, which is what the exact amplitude actually
@@ -119,10 +118,9 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
         If F has no sign change on [1, 1e4] (does not happen for
         beta >= 0.5).
     ToleranceNotMet
-        If 200 bisection steps leave |F| above ``tol``.
+        If 200 bisection steps leave |F| above 1e-10.
     """
     check_int("order", order, 1, AMPLITUDE_TERMS)
-    check_real("tol", tol, positive=True)
     a_const = model.normalization() if amplitude_const is None else amplitude_const
     check_real("amplitude_const", a_const, positive=True)
 
@@ -168,7 +166,7 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
         root = 0.5 * (a + b)
         residual = f(root)
         iterations = 1
-        while abs(residual) > tol and iterations < _MAX_ITER:
+        while abs(residual) > _TOL and iterations < _MAX_ITER:
             if residual > 0.0:
                 a = root
             else:
@@ -176,7 +174,7 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
             root = 0.5 * (a + b)
             residual = f(root)
             iterations += 1
-    if abs(residual) > tol:
+    if abs(residual) > _TOL:
         raise ToleranceNotMet(
             "crossover residual {:.3e} after {} bisection steps".format(
                 residual, iterations

@@ -59,8 +59,9 @@ def check_tau(tau: float, hint: str = "", zero_ok: bool = False) -> None:
 
 
 # Below this tau the closed form and the oracle both return I(0): the gap
-# I(tau) - I(0) is O(tau ln 1/tau), far below one ulp of I(0).
-_TAU_FLOOR = 1e-300
+# |I(tau) - I(0)| <= tau (2 ln(1/tau) + 4) is under 1e-16 there, below
+# one ulp of I(0) >= pi.
+_TAU_FLOOR = 1e-18
 
 
 def _phase(beta: float, tau: float) -> complex:

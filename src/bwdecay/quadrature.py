@@ -30,9 +30,9 @@ largest error relative to its budget, until each of I and J carries a
 certificate
 
     err = (sum of |K15 - G7| over the panels) + roundoff floor
-       <= rel_tol*|value| + abs_tol,
+       <= REL_TOL*|value| + ABS_TOL,
 
-or ``max_subdivisions`` panels exist.  Each public function raises
+or MAX_PANELS panels exist.  Each public function raises
 ToleranceNotMet when its own certificate misses, carrying the achieved
 estimate.  The module is pure Python and needs no third-party package.
 """
@@ -41,13 +41,18 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 
 from .errors import ToleranceNotMet
-from .model import (_TAU_FLOOR, BreitWignerModel, _phase, check_beta, check_int,
-                    check_real, check_tau)
+from .model import _TAU_FLOOR, BreitWignerModel, _phase, check_beta, check_tau
 
 _TWO_PI = 2.0 * math.pi
+
+# The oracle's contract: a returned value is within REL_TOL*|value| +
+# ABS_TOL by its certificate, found on at most MAX_PANELS panels (the
+# split at the pole image makes two to start with).
+REL_TOL = 1e-10
+ABS_TOL = 1e-14
+MAX_PANELS = 10_000
 
 # QUADPACK's roundoff floor: 50 eps of the magnitude summed
 _ROUNDOFF = 50.0 * 2.0 ** -52
@@ -74,30 +79,6 @@ _WG = (0.0, 0.129484966168869693270611432679082, 0.0,
 _NODES = tuple((s * x, wk, wg) for x, wk, wg in zip(_XGK, _WGK, _WG)
                for s in (1.0, -1.0)) + (
     (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),)
-
-
-class QuadratureSettings(namedtuple("QuadratureSettings",
-                                    "rel_tol abs_tol max_subdivisions")):
-    """Tolerances and the panel cap of the oracle, an immutable named tuple.
-
-    rel_tol, abs_tol bound the certified error of a returned value;
-    max_subdivisions caps the number of panels of the adaptive rule
-    (the split at the pole image makes two to start with).  Validated on
-    construction and by ``_replace``.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))
-
-    def __new__(cls, rel_tol: float = 1e-10, abs_tol: float = 1e-14,
-                max_subdivisions: int = 10_000):
-        check_real("rel_tol", rel_tol, positive=True)
-        check_real("abs_tol", abs_tol, positive=True)
-        check_int("max_subdivisions", max_subdivisions, 1)
-        return super().__new__(cls, rel_tol, abs_tol, max_subdivisions)
-
-
-_DEFAULT_SETTINGS = QuadratureSettings()
 
 
 def _panel(a: float, b: float, beta: float, k: complex, rate: float) -> tuple:
@@ -131,7 +112,7 @@ def _panel(a: float, b: float, beta: float, k: complex, rate: float) -> tuple:
     return ki * h, abs(ki - gi) * h, ai * h, kj * hj, abs(kj - gj) * hj, aj * hj
 
 
-def quad(beta: float, omega: float, settings: QuadratureSettings) -> tuple:
+def quad(beta: float, omega: float) -> tuple:
     """I and J at frequency ``omega`` by the adaptive rule on the ray.
 
     Returns ((I, err_I), (J, err_J)), each error the certificate of the
@@ -149,7 +130,7 @@ def quad(beta: float, omega: float, settings: QuadratureSettings) -> tuple:
     decay = math.exp(-0.5 * abs(omega))
     pole_i, pole_j = _TWO_PI * decay, -1j * sign * math.pi * decay
     pole_floor_i, pole_floor_j = _ROUNDOFF * abs(pole_i), _ROUNDOFF * abs(pole_j)
-    rel, tol = settings.rel_tol, settings.abs_tol
+    rel, tol = REL_TOL, ABS_TOL
     t_break = min(0.5 * scale, _MAX_BREAK)
     u_break = t_break / (1.0 + t_break)
     # columns: panel ends, then the six sums of _panel, one list each
@@ -170,7 +151,7 @@ def quad(beta: float, omega: float, settings: QuadratureSettings) -> tuple:
         # the loop at once and fails the contract at the caller
         wi = 1.0 / budget_i if err_i > budget_i else 0.0
         wj = 1.0 / budget_j if err_j > budget_j else 0.0
-        if (not (wi or wj) or len(ends) >= settings.max_subdivisions
+        if (not (wi or wj) or len(ends) >= MAX_PANELS
                 or floor_i > budget_i or floor_j > budget_j):
             break  # certified, out of panels, or below the roundoff floor
         top_i, top_j = max(errs_i), max(errs_j)
@@ -186,9 +167,8 @@ def quad(beta: float, omega: float, settings: QuadratureSettings) -> tuple:
     return (value_i, err_i), ((value_j, err_j) if omega else None)
 
 
-def _enforce(value: complex, err: float, settings: QuadratureSettings,
-             what: str, tau: float) -> complex:
-    bound = settings.rel_tol * abs(value) + settings.abs_tol
+def _enforce(value: complex, err: float, what: str, tau: float) -> complex:
+    bound = REL_TOL * abs(value) + ABS_TOL
     # written so that a NaN value or estimate fails the contract too
     if not err <= bound:
         raise ToleranceNotMet(
@@ -202,14 +182,12 @@ def _enforce(value: complex, err: float, settings: QuadratureSettings,
 # A quadrature scan row asks for I twice and for J once at one point,
 # through the amplitude and through J/I; the memo lets all three share
 # one integration while each keeps its own call (and benchmark span).
-# Settings is a hashable named tuple, so it is part of the key.
 @functools.lru_cache(maxsize=1)
-def _integrals(beta: float, omega: float, settings: QuadratureSettings) -> tuple:
-    return quad(beta, omega, settings)
+def _integrals(beta: float, omega: float) -> tuple:
+    return quad(beta, omega)
 
 
-def i_by_quadrature(beta: float, tau: float,
-                    settings: QuadratureSettings | None = None) -> complex:
+def i_by_quadrature(beta: float, tau: float) -> complex:
     """Amplitude integral I(tau) by direct numerical integration.
 
     Parameters
@@ -219,50 +197,48 @@ def i_by_quadrature(beta: float, tau: float,
     tau : float
         Dimensionless time, >= 0 (the integral converges absolutely, so
         tau = 0 is fine here, unlike the closed-form path).  Below
-        tau = 1e-300 the integral is taken at tau = 0, as the closed form
+        tau = 1e-18 the integral is taken at tau = 0, as the closed form
         takes its limit there.
-    settings : QuadratureSettings, optional
 
     Raises
     ------
     ToleranceNotMet
-        If the certified error of I does not meet rel_tol*|I| + abs_tol.
+        If the certified error of I exceeds REL_TOL*|I| + ABS_TOL
+        (1e-10 relative, 1e-14 absolute) within MAX_PANELS panels.
     """
     check_beta(beta)
     check_tau(tau, zero_ok=True)
-    s = settings or _DEFAULT_SETTINGS
-    # below the floor, where 1/tau overflows, I is integrated at tau = 0
+    # below the floor I(tau) is I(0) to within an ulp
     omega = float(tau) if tau >= _TAU_FLOOR else 0.0
-    value, err = _integrals(beta, omega, s)[0]
-    return _enforce(value, err, s, "I", tau)
+    value, err = _integrals(beta, omega)[0]
+    return _enforce(value, err, "I", tau)
 
 
-def j_by_quadrature(beta: float, tau: float,
-                    settings: QuadratureSettings | None = None) -> complex:
+def j_by_quadrature(beta: float, tau: float) -> complex:
     """Energy-weighted integral J(tau) by direct numerical integration.
 
     Requires tau > 0 strictly: the integrand falls off only like
     1/eta, so at tau = 0 the integral diverges logarithmically and for
     tau > 0 it converges only conditionally, through the oscillation.
+    Raises ToleranceNotMet as :func:`i_by_quadrature` does.
     """
     check_beta(beta)
     check_tau(tau, hint=" (J diverges logarithmically at tau = 0)")
-    s = settings or _DEFAULT_SETTINGS
     tau = float(tau)
-    value, err = _integrals(beta, tau, s)[1]
-    return _enforce(value, err, s, "J", tau)
+    value, err = _integrals(beta, tau)[1]
+    return _enforce(value, err, "J", tau)
 
 
-def amplitude_by_quadrature(model: BreitWignerModel, tau: float,
-                            settings: QuadratureSettings | None = None) -> complex:
+def amplitude_by_quadrature(model: BreitWignerModel, tau: float) -> complex:
     """Survival amplitude through the oracle path, same phase convention
     as the closed-form amplitude: (N/2pi) exp(-i beta tau) I(tau).
 
     No special-casing at tau = 0; the normalization a(0) = 1 must come
     out of the quadrature itself (to within tolerance), which is part
-    of what makes this an independent check.
+    of what makes this an independent check.  Raises ToleranceNotMet
+    where :func:`i_by_quadrature` does.
     """
     n = model.normalization()
     # i_by_quadrature first: it validates beta and tau, which _phase expects
-    i_val = i_by_quadrature(model.beta, tau, settings)
+    i_val = i_by_quadrature(model.beta, tau)
     return n / _TWO_PI * _phase(model.beta, tau).conjugate() * i_val

@@ -3,16 +3,19 @@
 A scan walks a tau grid and records, per point, the survival
 probability and the effective-Hamiltonian observables, through one of
 three computational paths: the closed forms ("exact"), the late-time
-series ("asymptotic"), or the integration oracle ("quadrature").  Every
-path ends in the same (E, gamma) map and probability check of
-``survival``.  Rows are plain records; rendering belongs to the CLI.
+series ("asymptotic"), or the integration oracle ("quadrature").  The
+exact and quadrature paths end in the same (E, gamma) map and
+probability check of ``survival``; the asymptotic path takes E from the
+real terms of the J/I series and gamma from -2 Im of its sum.  Rows are
+plain records; rendering belongs to the CLI.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .asymptotics import AMPLITUDE_TERMS, SERIES_TERMS, amplitude_late, ratio_series
+from .asymptotics import (AMPLITUDE_TERMS, SERIES_TERMS, amplitude_late,
+                          energy_series, ratio_series)
 from .errors import DomainError
 from .model import BreitWignerModel, check_int, check_tau
 from .quadrature import amplitude_by_quadrature, i_by_quadrature, j_by_quadrature
@@ -84,11 +87,12 @@ def _asymptotic_row(model: BreitWignerModel, tau: float, terms: int) -> ScanRow:
     # No p-range enforcement here: below its validity region the series
     # blows up like 1/tau**2 by design, and scanning into that region
     # is allowed (the range warning fires instead).  amplitude_late
-    # refuses tau <= 0.
+    # refuses tau <= 0.  The energy is not beta + Re r, in which the
+    # series' constant -beta cancels, but the sum of its real terms.
     amp = amplitude_late(model, tau, min(terms, AMPLITUDE_TERMS))
     r = ratio_series(model.beta, tau, terms)
-    return _row(model, tau, abs(amp) ** 2, *energy_and_rate(model.beta, r),
-                "asymptotic")
+    return _row(model, tau, abs(amp) ** 2, energy_series(model.beta, tau, terms),
+                -2.0 * r.imag, "asymptotic")
 
 
 def _quadrature_row(model: BreitWignerModel, tau: float) -> ScanRow:

@@ -157,9 +157,8 @@ _I_TAU_HINT = " (the tau -> 0 limit is i_beta_at_zero)"
 def _i_and_phase(beta: float, tau: float) -> tuple[complex, complex]:
     # (I, e^{i beta tau}) for a validated beta and tau > 0
     if tau < _TAU_FLOOR:
-        # the components of tau/2 - i*beta*tau denormalize here and the
-        # two E1 arguments collapse onto each other; the true deviation
-        # from the limit is O(tau*ln tau), far below one ulp of it
+        # the deviation from the limit, at most tau (2 ln(1/tau) + 4),
+        # is below one ulp of it here
         return complex(i_beta_at_zero(beta), 0.0), _phase(beta, tau)
     phase, i_pole, i_tail, _, _ = _pieces(beta, tau)
     return i_pole + i_tail, phase

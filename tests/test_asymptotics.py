@@ -29,6 +29,7 @@ from bwdecay.asymptotics import (
 from bwdecay.crossover import crossover_time
 from bwdecay.errors import DomainError
 from bwdecay.model import BreitWignerModel
+from bwdecay.scan import scan_rows
 from bwdecay.survival import amplitude, effective_hamiltonian, i_beta, j_beta
 
 EIGHT_PI = 8.0 * math.pi
@@ -201,6 +202,40 @@ def test_late_energy_and_rate_match_exact_path():
     h = effective_hamiltonian(m, 100.0)
     assert energy_late(m, 100.0) == pytest.approx(h.energy, rel=1e-8)
     assert decay_rate_late(m, 100.0) == pytest.approx(h.rate, rel=1e-8)
+
+
+def _mp_energy_series(beta, tau, terms):
+    # (E - Emin)/gamma0 of the J/I series to ``terms`` terms at 40 digits,
+    # beta + Re(sum cr_k (i/tau)**k), with the ratio coefficients in the
+    # closed forms of the module docstring
+    with mpmath.workdps(40):
+        b, x = mpmath.mpf(beta), 1j / mpmath.mpf(tau)
+        d = b * b + mpmath.mpf(1) / 4
+        cr = (-b, -1, 2 * b / d, (1 - 8 * b * b) / d ** 2,
+              b * (44 * b * b - 15) / d ** 3)
+        return b + sum(c * x ** k for k, c in enumerate(cr[:terms])).real
+
+
+def test_asymptotic_scan_energy_matches_the_series():
+    # the row's energy is summed from the real terms of the series, not
+    # as beta + Re(J/I), whose cancellation cost kappa up to all of its
+    # digits (at beta = 10, tau = 1e8); terms 1 and 2 carry no real
+    # term beyond -beta and print exactly 0.0
+    taus = [40.0 * (1e8 / 40.0) ** (n / 24) for n in range(25)]
+    for beta in (0.5, 10.0, 100.0):
+        model = BreitWignerModel.from_beta(beta)
+        for terms in (1, 2, 3, 5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AsymptoticRangeWarning)
+                rows = scan_rows(model, taus, method="asymptotic", terms=terms)
+            for tau, row in zip(taus, rows):
+                if terms < 3:
+                    assert (row.kappa, row.re_h) == (0.0, 0.0)
+                    assert math.copysign(1.0, row.re_h) == 1.0
+                    continue
+                energy = _mp_energy_series(beta, tau, terms)
+                assert _rel(row.re_h, energy) <= 1e-15, (beta, tau, terms)
+                assert _rel(row.kappa, energy / beta) <= 1e-15, (beta, tau, terms)
 
 
 def test_late_limits():

@@ -49,7 +49,7 @@ def test_monotone_in_beta():
 
 def test_result_invariants():
     m = BreitWignerModel.from_beta(10.0, gamma0=2.0)
-    r = crossover_time(m, order=1, tol=1e-10)
+    r = crossover_time(m, order=1)
     assert isinstance(r, CrossoverResult)
     assert r.bracket[0] < r.tau_t < r.bracket[1]
     assert abs(r.residual) <= 1e-10
@@ -99,21 +99,13 @@ def test_no_bracket_for_vanishing_prefactor():
         crossover_time(m, amplitude_const=1e-300)
 
 
-def test_tolerance_is_honored_not_just_requested():
-    m = BreitWignerModel.from_beta(10.0)
-    loose = crossover_time(m, tol=1e-2)
-    tight = crossover_time(m, tol=1e-12)
-    assert abs(loose.residual) <= 1e-2
-    assert abs(tight.residual) <= 1e-12
-    assert tight.iterations > loose.iterations
-
-
-def test_bisection_grinds_to_an_exact_zero():
+def test_bisection_grinds_to_an_exact_zero(monkeypatch):
     # near the root the log-difference steps by about one ulp per tau
     # float and lands on exactly 0.0, so even an absurd tolerance
     # converges instead of tripping the iteration cap
+    monkeypatch.setattr(crossover, "_TOL", 1e-300)
     m = BreitWignerModel.from_beta(10.0)
-    r = crossover_time(m, tol=1e-300)
+    r = crossover_time(m)
     assert r.residual == 0.0
     assert r.iterations < 60
 
@@ -138,13 +130,9 @@ def test_exact_probability_brackets_the_canonical_era():
         {"order": 0},
         {"order": 5},
         {"order": 2.0},
-        {"tol": 0.0},
-        {"tol": -1e-10},
         {"amplitude_const": 0.0},
         {"amplitude_const": -1.0},
         {"amplitude_const": math.inf},
-        {"tol": math.inf},
-        {"tol": math.nan},
     ],
 )
 def test_solver_rejects_bad_arguments(kwargs):
@@ -206,7 +194,7 @@ def _f(model, tau, order, a_const):
     return 2.0 * math.log(a_const) - tau - 2.0 * math.log(late)
 
 
-def _walk_crossover(model, order=1, tol=1e-10, amplitude_const=None):
+def _walk_crossover(model, order=1, amplitude_const=None):
     """Reference solver: walk the whole 481-point grid right to left."""
     a_const = model.normalization() if amplitude_const is None else amplitude_const
     grid = time_grid(1.0, 1.0e4, 481, "log")
@@ -226,7 +214,7 @@ def _walk_crossover(model, order=1, tol=1e-10, amplitude_const=None):
     root = 0.5 * (a + b)
     residual = _f(model, root, order, a_const)
     iterations = 1
-    while abs(residual) > tol and iterations < 200:
+    while abs(residual) > 1e-10 and iterations < 200:
         if residual > 0.0:
             a = root
         else:
@@ -234,7 +222,7 @@ def _walk_crossover(model, order=1, tol=1e-10, amplitude_const=None):
         root = 0.5 * (a + b)
         residual = _f(model, root, order, a_const)
         iterations += 1
-    if abs(residual) > tol:
+    if abs(residual) > 1e-10:
         raise ToleranceNotMet(
             "crossover residual {:.3e} after {} bisection steps".format(
                 residual, iterations), achieved=abs(residual))

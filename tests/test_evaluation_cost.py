@@ -28,7 +28,6 @@ from bwdecay import _kernels_py, asymptotics, quadrature, survival
 from bwdecay.crossover import crossover_time
 from bwdecay.errors import ConvergenceError
 from bwdecay.model import BreitWignerModel
-from bwdecay.quadrature import QuadratureSettings, i_by_quadrature
 from bwdecay.scan import scan_rows, time_grid
 
 # Records "scipy" in sys.modules after each step of a session, in order.
@@ -237,18 +236,6 @@ def test_convergence_failure_raises_every_time():
     for _ in range(2):
         with pytest.raises(ConvergenceError):
             scan_rows(model, [tau])
-
-
-def test_quadrature_memo_keys_on_settings():
-    coarse = QuadratureSettings(rel_tol=1e-6)
-    fine = QuadratureSettings()
-    shared = [i_by_quadrature(2.0, 3.0, s) for s in (coarse, fine, coarse)]
-    fresh = []
-    for s in (coarse, fine):
-        quadrature._integrals.cache_clear()
-        fresh.append(i_by_quadrature(2.0, 3.0, s))
-    assert fresh[0] != fresh[1]
-    assert [repr(v) for v in shared] == [repr(v) for v in fresh + fresh[:1]]
 
 
 def _disk(radius, circles=16, angles=48):

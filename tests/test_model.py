@@ -11,7 +11,6 @@ from scipy.integrate import quad
 
 from bwdecay.errors import DomainError
 from bwdecay.model import BreitWignerModel, check_int
-from bwdecay.quadrature import QuadratureSettings
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,9 +58,6 @@ def test_beta_is_computed_once_and_is_not_a_field():
     (BreitWignerModel(e0=3.0, gamma0=0.7, emin=-1.1), dict(hbar=0.0)),
     (BreitWignerModel(e0=3.0, gamma0=0.7, emin=-1.1), dict(emin=5.0)),
     (BreitWignerModel(e0=3.0, gamma0=0.7, emin=-1.1), dict(e0=math.inf)),
-    (QuadratureSettings(), dict(rel_tol=-1.0)),
-    (QuadratureSettings(), dict(abs_tol=math.nan)),
-    (QuadratureSettings(), dict(max_subdivisions=0)),
 ])
 def test_replace_validates_like_the_constructor(record, change):
     with pytest.raises(DomainError):

@@ -1,4 +1,4 @@
-"""Quadrature oracle: settings contract, agreement with the closed
+"""Quadrature oracle: its contract constants, agreement with the closed
 forms, and the honest failure path."""
 
 import math
@@ -6,10 +6,10 @@ import math
 import mpmath as mp
 import pytest
 
+from bwdecay import quadrature
 from bwdecay.errors import DomainError, ToleranceNotMet
 from bwdecay.model import BreitWignerModel
 from bwdecay.quadrature import (
-    QuadratureSettings,
     amplitude_by_quadrature,
     i_by_quadrature,
     j_by_quadrature,
@@ -41,37 +41,12 @@ def _mp_integrals(beta, tau, beta_tau=None):
                 complex(-1j * mp.pi * decay + phase * (gp + gm) / 2))
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(rel_tol=0.0),
-        dict(rel_tol=-1e-10),
-        dict(abs_tol=0.0),
-        dict(abs_tol=-1e-14),
-        dict(abs_tol=math.nan),
-        dict(max_subdivisions=0),
-        dict(max_subdivisions=-3),
-        dict(max_subdivisions=None),
-        dict(rel_tol=math.inf),
-        dict(rel_tol=math.nan),
-        dict(abs_tol=math.inf),
-        dict(max_subdivisions=2.5),
-        dict(max_subdivisions=math.nan),
-        dict(max_subdivisions="10"),
-    ],
-)
-def test_settings_validation(kwargs):
-    with pytest.raises(DomainError):
-        QuadratureSettings(**kwargs)
-
-
 def test_settings_defaults():
-    s = QuadratureSettings()
-    assert s.rel_tol == 1e-10
-    assert s.abs_tol == 1e-14
-    assert s.max_subdivisions == 10_000
-    # the ray has no truncation point, so no eta_max
-    assert s._fields == ("rel_tol", "abs_tol", "max_subdivisions")
+    # the contract every oracle value is certified to; the ray has no
+    # truncation point, so there is no eta_max
+    assert quadrature.REL_TOL == 1e-10
+    assert quadrature.ABS_TOL == 1e-14
+    assert quadrature.MAX_PANELS == 10_000
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0, 10.0, 100.0])
@@ -144,59 +119,69 @@ def test_j_short_time_logarithmic_growth():
 def test_conjugation_symmetry_by_reevaluation():
     # I(-tau) = conj(I(tau)) holds for the integral; evaluated on both
     # signs independently rather than imposed
-    s = QuadratureSettings()
-    plus, _ = quad(2.0, 7.3, s)[0]
-    minus, _ = quad(2.0, -7.3, s)[0]
+    plus, _ = quad(2.0, 7.3)[0]
+    minus, _ = quad(2.0, -7.3)[0]
     assert abs(minus - plus.conjugate()) < 1e-9
 
 
-def test_reported_error_covers_truncation_change():
+def test_reported_error_covers_truncation_change(monkeypatch):
     # the ray has no truncation point; what truncates the rule is its
     # panel budget.  A value cut short at a few panels carries an error
     # estimate that covers its distance to the converged value.
-    (ref, _), _ = quad(2.0, 3.0, QuadratureSettings(rel_tol=1e-14))
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-14)
+    (ref, _), _ = quad(2.0, 3.0)
+    monkeypatch.undo()
     moved = 0
     for n in (2, 3, 4):
-        (v, e), _ = quad(2.0, 3.0, QuadratureSettings(max_subdivisions=n))
+        monkeypatch.setattr(quadrature, "MAX_PANELS", n)
+        (v, e), _ = quad(2.0, 3.0)
         assert abs(v - ref) <= e, n
         moved += v != ref
     assert moved == 3
 
 
-def test_refinement_discrepancies_do_not_grow():
+def test_refinement_discrepancies_do_not_grow(monkeypatch):
     # successive tolerance tightenings reach the roundoff floor, so allow
     # an absolute cushion instead of demanding strict decrease
-    values = [
-        quad(2.0, 3.0, QuadratureSettings(rel_tol=r))[0][0]
-        for r in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
-    ]
+    values = []
+    for r in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+        monkeypatch.setattr(quadrature, "REL_TOL", r)
+        values.append(quad(2.0, 3.0)[0][0])
     d = [abs(b - a) for a, b in zip(values, values[1:])]
     assert d[0] > 0.0
     for coarse, fine in zip(d, d[1:]):
         assert fine <= coarse + 1e-15
 
 
-def test_tighter_tolerance_stays_within_certificate():
-    # the value at rel_tol = 1e-13 differs from the default value by no
+def test_tighter_tolerance_stays_within_certificate(monkeypatch):
+    # the value at REL_TOL = 1e-13 differs from the default value by no
     # more than the default's certificate, for I and J alike
-    default, tight = QuadratureSettings(), QuadratureSettings(rel_tol=1e-13)
+    points = [(beta, tau) for beta in (0.05, 0.5, 2.0, 10.0, 100.0)
+              for tau in (0.0, 1e-3, 0.3, 3.0, 7.9, 30.0, 300.0)]
+    default = [quad(beta, tau) for beta, tau in points]
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-13)
     moved = 0
-    for beta in (0.05, 0.5, 2.0, 10.0, 100.0):
-        for tau in (0.0, 1e-3, 0.3, 3.0, 7.9, 30.0, 300.0):
-            coarse, fine = quad(beta, tau, default), quad(beta, tau, tight)
-            # at tau = 0 only I is integrated
-            assert (coarse[1] is None) == (fine[1] is None) == (tau == 0.0)
-            for (v1, e1), (v2, _) in zip(coarse[:1 + bool(tau)], fine):
-                assert abs(v2 - v1) <= e1, (beta, tau)
-                moved += v2 != v1
+    for (beta, tau), coarse in zip(points, default):
+        fine = quad(beta, tau)
+        # at tau = 0 only I is integrated
+        assert (coarse[1] is None) == (fine[1] is None) == (tau == 0.0)
+        for (v1, e1), (v2, _) in zip(coarse[:1 + bool(tau)], fine):
+            assert abs(v2 - v1) <= e1, (beta, tau)
+            moved += v2 != v1
     # the tighter contract refines most points, so the check has teeth
     assert moved > 40
 
 
-def test_starved_subdivision_budget_raises():
-    s = QuadratureSettings(max_subdivisions=2)
-    with pytest.raises(ToleranceNotMet) as exc:
-        i_by_quadrature(2.0, 5.0, s)
+def test_starved_subdivision_budget_raises(monkeypatch):
+    # the memo keys on (beta, tau) alone: clear it on both sides, so that
+    # neither a converged nor a starved result crosses the test's edge
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
+    quadrature._integrals.cache_clear()
+    try:
+        with pytest.raises(ToleranceNotMet) as exc:
+            i_by_quadrature(2.0, 5.0)
+    finally:
+        quadrature._integrals.cache_clear()
     assert exc.value.achieved > 0.0
 
 
@@ -246,9 +231,8 @@ def test_oracle_against_mpmath_over_the_domain(beta):
     taus = [1e-5 * 1e10 ** (n / 39) for n in range(40)]
     model = BreitWignerModel.from_beta(beta)
     rows = scan_rows(model, taus, method="quadrature")
-    settings = QuadratureSettings()
     for tau, row in zip(taus, rows):
-        (i_val, i_err), (j_val, j_err) = quad(beta, tau, settings)
+        (i_val, i_err), (j_val, j_err) = quad(beta, tau)
         i_ref, j_ref = _mp_integrals(beta, tau, beta * tau)
         assert abs(i_val - i_ref) <= i_err, tau
         assert abs(j_val - j_ref) <= j_err, tau
@@ -271,11 +255,12 @@ def test_nan_fails_the_contract():
             j_by_quadrature(2.0, tau)
 
 
-@pytest.mark.parametrize("tau", TINY_TAUS)
+@pytest.mark.parametrize("tau", [1e-19, 1e-100, 1e-300] + TINY_TAUS)
 @pytest.mark.parametrize("beta", [0.05, 2.0, 100.0])
 def test_i_below_the_tau_floor_is_its_limit(beta, tau):
-    # below tau = 1e-300 I is integrated at tau = 0, as the closed form
-    # takes its limit there; I(tau) - I(0) is O(tau ln 1/tau)
+    # below tau = 1e-18 I is integrated at tau = 0, as the closed form
+    # takes its limit there; |I(tau) - I(0)| <= tau (2 ln(1/tau) + 4) is
+    # below one ulp of I(0) >= pi
     i_val = i_by_quadrature(beta, tau)
     assert i_val == i_by_quadrature(beta, 0.0)
     assert _rel(i_val, i_beta_at_zero(beta)) < 1e-10

@@ -1,0 +1,109 @@
+"""Record what the command line prints for a fixed list of calls.
+
+Runs about a hundred argument lists through ``bwdecay.cli.main`` in one
+process and writes, for each, its stdout, stderr and exit code to a JSON
+file.  The list covers ``info``, ``crossover`` at every order, and the
+exact, asymptotic and quadrature scans in CSV and JSON over a spread of
+beta, plus the usage and numerical error paths.  Two trees that print
+the same bytes give the same file, so a refactor that should change no
+output is checked with
+
+    PYTHONPATH=OLD/src python tools/cli_corpus.py old.json
+    PYTHONPATH=NEW/src python tools/cli_corpus.py new.json
+    diff old.json new.json
+
+Each output is stored as its list of lines, so the diff names the call
+and the line that moved.  A run takes about a second.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+
+from bwdecay import cli
+
+BETAS = ("0.05", "0.5", "2", "10", "100")
+
+SCANS = (
+    # exact: the early eras, the deep tail, and a linear grid from 0
+    ("--tau-min", "0.01", "--tau-max", "40", "--points", "25"),
+    ("--tau-min", "40", "--tau-max", "1e8", "--points", "25"),
+    ("--grid", "linear", "--tau-min", "0", "--tau-max", "10", "--points", "11"),
+    ("--method", "asymptotic", "--terms", "3", "--tau-min", "40", "--tau-max", "1e8",
+     "--points", "25"),
+    ("--method", "asymptotic", "--terms", "5", "--tau-min", "1", "--tau-max", "1e8",
+     "--points", "25"),
+    ("--method", "quadrature", "--tau-min", "0.01", "--tau-max", "60",
+     "--points", "9"),
+)
+
+ERRORS = (
+    # usage errors, exit 2
+    ("scan",),
+    ("scan", "--beta", "2", "--e0", "3"),
+    ("scan", "--beta", "-1"),
+    ("scan", "--beta", "2", "--points", "1"),
+    ("scan", "--beta", "2", "--tau-min", "0"),
+    ("scan", "--beta", "2", "--terms", "6"),
+    ("scan", "--beta", "2", "--method", "series"),
+    ("scan", "--beta", "2", "--method", "asymptotic", "--grid", "linear",
+     "--tau-min", "0", "--tau-max", "5"),
+    ("scan", "--beta", "2", "--tau-min", "5", "--tau-max", "1"),
+    ("info", "--e0", "1", "--emin", "2"),
+    ("crossover", "--beta", "2", "--terms", "5"),
+    ("crossover", "--beta", "2", "--amp-const", "-1"),
+    # numerical failures, exit 3
+    ("scan", "--beta", "1e300", "--tau-min", "1e8", "--tau-max", "1e9",
+     "--points", "2"),
+    ("scan", "--beta", "1e300", "--tau-min", "1e9", "--tau-max", "1e10",
+     "--points", "2"),
+    ("scan", "--beta", "0.05", "--tau-min", "7", "--tau-max", "9", "--points", "5"),
+    ("crossover", "--beta", "10", "--amp-const", "1e-300"),
+)
+
+
+def corpus() -> list:
+    """The argument lists, in a fixed order."""
+    calls = []
+    for beta in BETAS:
+        model = ("--beta", beta)
+        for output in ("json", "csv"):
+            calls.append(("info", *model, "--output", output))
+        for order in range(1, 5):
+            calls.append(("crossover", *model, "--terms", str(order)))
+        for scan in SCANS:
+            for output in ("csv", "json"):
+                calls.append(("scan", *model, *scan, "--output", output))
+    return calls + list(ERRORS)
+
+
+def run(argv) -> dict:
+    """stdout, stderr and exit code of one in-process ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse reports usage errors so
+            code = exc.code
+    return {"argv": list(argv), "exit": code,
+            "stdout": out.getvalue().split("\n"),
+            "stderr": err.getvalue().split("\n")}
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python tools/cli_corpus.py OUT.json", file=sys.stderr)
+        return 2
+    records = [run(call) for call in corpus()]
+    with open(args[0], "w", encoding="utf-8") as fh:
+        json.dump(records, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
