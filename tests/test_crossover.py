@@ -130,9 +130,13 @@ def test_exact_probability_brackets_the_canonical_era():
         {"order": 0},
         {"order": 5},
         {"order": 2.0},
+        {"order": -1},
+        {"order": None},
         {"amplitude_const": 0.0},
         {"amplitude_const": -1.0},
         {"amplitude_const": math.inf},
+        {"amplitude_const": math.nan},
+        {"amplitude_const": "1.0"},
     ],
 )
 def test_solver_rejects_bad_arguments(kwargs):
