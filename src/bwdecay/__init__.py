@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .asymptotics import (
     AsymptoticRangeWarning,
-    LambdaCoefficients,
     amplitude_late,
     decay_rate_late,
     energy_late,
@@ -17,13 +16,10 @@ from .asymptotics import (
     i_series,
     j_brace_coefficients,
     j_series,
-    lambda_coefficients,
-    lambda_of_t,
     ratio_coefficients,
-    ratio_coefficients_legacy,
     ratio_series,
 )
-from .crossover import CrossoverResult, SurvivorCount, crossover_time, survivor_count
+from .crossover import CrossoverResult, crossover_time
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -64,10 +60,8 @@ __all__ = [
     "DomainError",
     "EULER_GAMMA",
     "EffectiveHamiltonianValue",
-    "LambdaCoefficients",
     "NearZeroAmplitude",
     "ScanRow",
-    "SurvivorCount",
     "ToleranceNotMet",
     "amplitude",
     "amplitude_by_quadrature",
@@ -91,13 +85,9 @@ __all__ = [
     "j_by_quadrature",
     "j_series",
     "kappa",
-    "lambda_coefficients",
-    "lambda_of_t",
     "ratio_coefficients",
-    "ratio_coefficients_legacy",
     "ratio_series",
     "scan_rows",
     "survival_probability",
-    "survivor_count",
     "time_grid",
 ]

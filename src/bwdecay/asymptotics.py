@@ -1,4 +1,4 @@
-"""Late-time asymptotic expansions and the Lambda(t) coefficient map.
+"""Late-time asymptotic expansions of the amplitude, energy and decay rate.
 
 Repeated integration by parts of the amplitude integrals at the lower
 limit eta = -beta produces, with D = beta**2 + 1/4 and x = i/tau,
@@ -21,7 +21,7 @@ The widely quoted closed forms of the ratio's third and fourth
 coefficients, (1+24b-28b**2-96b**3+64b**4)/(4 D**3) and
 (6-21b+48b**2-64b**3-288b**4+464b**5)/(4 D**4), are wrong except at
 beta = 1; the division gives (1-8b**2)/D**2 and b(44b**2-15)/D**3.
-ratio_coefficients_legacy keeps them so the discrepancy stays tested.
+The tests keep the quoted forms as data so the discrepancy stays tested.
 
 These are asymptotic, not convergent, series: past the optimal
 truncation index the terms grow again.  Evaluations where the last
@@ -34,11 +34,8 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections import namedtuple
 
-from .errors import DomainError
-from .model import (BreitWignerModel, _phase, check_beta, check_int, check_real,
-                    check_tau)
+from .model import BreitWignerModel, _phase, check_beta, check_int, check_tau
 
 _TWO_PI = 2.0 * math.pi
 
@@ -50,18 +47,6 @@ AMPLITUDE_TERMS = 4
 
 class AsymptoticRangeWarning(UserWarning):
     """Last retained term grew: outside the series' reliable region."""
-
-
-class LambdaCoefficients(namedtuple("LambdaCoefficients",
-                                    "lambda_bare d2 d4 big_d2 big_d4")):
-    """Coefficients of Lambda(t) = lambda_bare + big_d2/t**2 + big_d4/t**4.
-
-    An immutable named tuple.  Invariant: big_dk = (8 pi G / c**2) * dk,
-    the same conversion that maps the bare energy density onto
-    lambda_bare.
-    """
-
-    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=1)
@@ -98,27 +83,6 @@ def j_brace_coefficients(beta: float) -> tuple:
 def ratio_coefficients(beta: float) -> tuple:
     """Five coefficients of J/I in powers of i/tau (regenerated values)."""
     return _tables(beta)[2]
-
-
-def ratio_coefficients_legacy(beta: float) -> tuple:
-    """The widely quoted closed forms for the J/I coefficients.
-
-    Coefficients 0..2 agree with :func:`ratio_coefficients`; 3 and 4
-    differ everywhere except beta = 1 and are kept only so the
-    discrepancy can be demonstrated.  Do not evaluate series with
-    these.
-    """
-    d = beta * beta + 0.25
-    poly3 = 1.0 + 24.0 * beta - 28.0 * beta ** 2 - 96.0 * beta ** 3 + 64.0 * beta ** 4
-    poly4 = (6.0 - 21.0 * beta + 48.0 * beta ** 2 - 64.0 * beta ** 3
-             - 288.0 * beta ** 4 + 464.0 * beta ** 5)
-    return (
-        -beta,
-        -1.0,
-        2.0 * beta / d,
-        poly3 / (4.0 * d ** 3),
-        poly4 / (4.0 * d ** 4),
-    )
 
 
 def _series(coefficients, beta: float, tau: float, order: int, top: int,
@@ -226,48 +190,3 @@ def decay_rate_late(model: BreitWignerModel, tau: float) -> float:
     check_tau(tau)  # the model checked its beta
     c = ratio_coefficients(model.beta)
     return model.gamma0 * (-2.0 * c[1] / tau + 2.0 * c[3] / tau ** 3)
-
-
-def _lambda_factor(rho_bare: float, d2: float, d4: float,
-                   g_newton: float, light_speed: float) -> float:
-    # the one check of the Lambda(t) inputs; returns 8 pi G / c**2,
-    # divided by c twice so that no finite c overflows c**2 on the way
-    for name, value in (("rho_bare", rho_bare), ("d2", d2), ("d4", d4)):
-        check_real(name, value)
-    check_real("G", g_newton, positive=True)
-    check_real("c", light_speed, positive=True)
-    factor = 8.0 * math.pi * g_newton / light_speed / light_speed
-    if not math.isfinite(factor):
-        raise DomainError(
-            "8 pi G / c**2 overflows for G = {!r}, c = {!r}".format(
-                g_newton, light_speed))
-    return factor
-
-
-def lambda_of_t(rho_bare: float, d2: float, d4: float, t: float,
-                g_newton: float = 1.0, light_speed: float = 1.0) -> float:
-    """Running cosmological-constant value Lambda(t).
-
-    Maps a decaying energy density rho(t) = rho_bare + d2/t**2 + d4/t**4
-    onto Lambda(t) = (8 pi G / c**2) rho(t).  The coefficients d2, d4
-    are free inputs here; nothing in this package pins them to the
-    energy expansion beyond proportionality.  Every input must be
-    finite, t, G and c positive, and 8 pi G / c**2 finite.
-    """
-    check_real("t", t, positive=True)
-    factor = _lambda_factor(rho_bare, d2, d4, g_newton, light_speed)
-    return factor * (rho_bare + d2 / t ** 2 + d4 / t ** 4)
-
-
-def lambda_coefficients(rho_bare: float, d2: float, d4: float,
-                        g_newton: float = 1.0,
-                        light_speed: float = 1.0) -> LambdaCoefficients:
-    """Bundle the Lambda(t) coefficient map without evaluating it."""
-    factor = _lambda_factor(rho_bare, d2, d4, g_newton, light_speed)
-    return LambdaCoefficients(
-        lambda_bare=factor * rho_bare,
-        d2=d2,
-        d4=d4,
-        big_d2=factor * d2,
-        big_d4=factor * d4,
-    )

@@ -26,7 +26,7 @@ from collections import namedtuple
 
 from .asymptotics import (AMPLITUDE_TERMS, AsymptoticRangeWarning, amplitude_late,
                           i_brace_coefficients)
-from .errors import BracketError, DomainError, ToleranceNotMet
+from .errors import BracketError, ToleranceNotMet
 from .model import BreitWignerModel, check_int, check_real
 from .scan import time_grid
 
@@ -48,9 +48,6 @@ class CrossoverResult(namedtuple(
     """
 
     __slots__ = ()
-
-
-SurvivorCount = namedtuple("SurvivorCount", ["expected", "resolvable"])
 
 
 @functools.cache
@@ -189,23 +186,3 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
         iterations=iterations,
         t_physical=model.t_of_tau(root),
     )
-
-
-def survivor_count(p_at_t: float, n_created: float,
-                   threshold: float = 1.0) -> SurvivorCount:
-    """Expected number of survivors among n_created at survival odds p.
-
-    Returns expected = p * n_created together with a ``resolvable``
-    flag, true when the expectation exceeds ``threshold``: an ensemble
-    only exhibits the late-time tail if some members are actually left
-    to show it.  "Much greater than one" has no canonical numeric
-    reading, so the threshold is a parameter with a deliberately modest
-    default.
-    """
-    if not (isinstance(p_at_t, (int, float)) and math.isfinite(p_at_t)
-            and 0.0 <= p_at_t <= 1.0):
-        raise DomainError("p_at_t must lie in [0, 1], got {!r}".format(p_at_t))
-    check_real("n_created", n_created, positive=True)
-    check_real("threshold", threshold, positive=True)
-    expected = p_at_t * n_created
-    return SurvivorCount(expected=expected, resolvable=expected > threshold)

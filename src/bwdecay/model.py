@@ -168,7 +168,8 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
         return 2.0 * math.pi / (math.pi + 2.0 * math.atan(2.0 * self.beta))
 
     def density(self, e: float) -> float:
-        """Energy density w(e); zero below the spectrum edge."""
+        """Energy density w(e) at a finite real ``e``; zero below the spectrum edge."""
+        check_real("e", e)
         if e < self.emin:
             return 0.0
         lor = self.gamma0 / ((e - self.e0) ** 2 + 0.25 * self.gamma0 ** 2)

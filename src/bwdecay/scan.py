@@ -12,6 +12,7 @@ plain records; rendering belongs to the CLI.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .asymptotics import (AMPLITUDE_TERMS, SERIES_TERMS, amplitude_late,
@@ -59,7 +60,13 @@ def time_grid(tau_min: float, tau_max: float, points: int, kind: str = "log") ->
         grid = [tau_min + i * step for i in range(points)]
     else:
         ratio = tau_max / tau_min
-        grid = [tau_min * ratio ** (i / (points - 1)) for i in range(points)]
+        if ratio == math.inf:
+            # the ratio overflows, though both ends are finite: step in logs
+            lo = math.log(tau_min)
+            span = math.log(tau_max) - lo
+            grid = [math.exp(lo + i / (points - 1) * span) for i in range(points)]
+        else:
+            grid = [tau_min * ratio ** (i / (points - 1)) for i in range(points)]
     grid[0] = tau_min
     grid[-1] = tau_max
     return grid

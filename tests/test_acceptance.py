@@ -17,7 +17,6 @@ from bwdecay.asymptotics import (
     i_brace_coefficients,
     j_brace_coefficients,
     ratio_coefficients,
-    ratio_coefficients_legacy,
 )
 from bwdecay.crossover import crossover_time
 from bwdecay.model import BreitWignerModel
@@ -33,6 +32,8 @@ from bwdecay.survival import (
     j_beta,
     kappa,
 )
+
+from conftest import legacy_ratio_coefficients
 
 BETAS = (0.5, 2.0, 10.0, 100.0)
 
@@ -212,7 +213,7 @@ def test_c11_coefficients_match_integration_by_parts_oracle():
             assert abs(cr[k] - regenerated[k]) <= 1e-10 * max(
                 abs(regenerated[k]), 1e-3)
 
-        legacy = ratio_coefficients_legacy(beta)
+        legacy = legacy_ratio_coefficients(beta)
         mismatched = {
             k for k in range(5)
             if abs(legacy[k] - cr[k]) > 1e-8 * max(abs(cr[k]), 1e-3)

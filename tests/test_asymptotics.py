@@ -1,18 +1,15 @@
 """Late-time expansions: coefficient tables, convergence behavior,
-range warnings, and the density-to-running-constant map."""
+and range warnings."""
 
 import math
 import warnings
 
 import mpmath
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bwdecay.asymptotics import (
     SERIES_TERMS,
     AsymptoticRangeWarning,
-    LambdaCoefficients,
     amplitude_late,
     decay_rate_late,
     energy_late,
@@ -20,10 +17,7 @@ from bwdecay.asymptotics import (
     i_series,
     j_brace_coefficients,
     j_series,
-    lambda_coefficients,
-    lambda_of_t,
     ratio_coefficients,
-    ratio_coefficients_legacy,
     ratio_series,
 )
 from bwdecay.crossover import crossover_time
@@ -32,7 +26,7 @@ from bwdecay.model import BreitWignerModel
 from bwdecay.scan import scan_rows
 from bwdecay.survival import amplitude, effective_hamiltonian, i_beta, j_beta
 
-EIGHT_PI = 8.0 * math.pi
+from conftest import legacy_ratio_coefficients
 
 
 def _rel(a, b):
@@ -98,12 +92,12 @@ def test_printed_forms_agree_only_at_unit_offset():
     # regenerated ones at beta = 1 and nowhere else; both tables stay
     # available so the discrepancy is visible rather than patched over
     reg1 = ratio_coefficients(1.0)
-    leg1 = ratio_coefficients_legacy(1.0)
+    leg1 = legacy_ratio_coefficients(1.0)
     for k in range(5):
         assert leg1[k] == pytest.approx(reg1[k], rel=1e-12)
 
     reg2 = ratio_coefficients(2.0)
-    leg2 = ratio_coefficients_legacy(2.0)
+    leg2 = legacy_ratio_coefficients(2.0)
     mismatched = {
         k for k in range(5) if abs(leg2[k] - reg2[k]) > 1e-6 * abs(reg2[k])
     }
@@ -269,88 +263,3 @@ def test_late_energy_leading_identity():
 def test_order_and_domain_validation(call):
     with pytest.raises(DomainError):
         call()
-
-
-def test_running_constant_point_values():
-    # bare density alone: Lambda = 8 pi G rho / c^2 with unit constants
-    assert lambda_of_t(1.0, 0.0, 0.0, 5.0) == pytest.approx(EIGHT_PI, rel=1e-15)
-    # a pure 1/t^2 density at t = 2 contributes an extra 1/4
-    assert lambda_of_t(0.0, 1.0, 0.0, 2.0) == pytest.approx(2.0 * math.pi, rel=1e-15)
-
-
-def test_running_constant_prefactor_scaling():
-    base = lambda_of_t(1.0, 2.0, 3.0, 1.5)
-    assert lambda_of_t(1.0, 2.0, 3.0, 1.5, g_newton=2.0) == pytest.approx(
-        2.0 * base, rel=1e-14
-    )
-    assert lambda_of_t(1.0, 2.0, 3.0, 1.5, light_speed=2.0) == pytest.approx(
-        base / 4.0, rel=1e-14
-    )
-
-
-@given(
-    rho=st.floats(min_value=-10.0, max_value=10.0),
-    d2=st.floats(min_value=-10.0, max_value=10.0),
-    d4=st.floats(min_value=-10.0, max_value=10.0),
-    t=st.floats(min_value=0.1, max_value=1e6),
-)
-@settings(max_examples=200)
-def test_running_constant_is_affine_in_density(rho, d2, d4, t):
-    whole = lambda_of_t(rho, d2, d4, t)
-    parts = (
-        lambda_of_t(rho, 0.0, 0.0, t)
-        + lambda_of_t(0.0, d2, 0.0, t)
-        + lambda_of_t(0.0, 0.0, d4, t)
-    )
-    # the terms can cancel, so scale the bound by their magnitudes
-    scale = EIGHT_PI * (abs(rho) + abs(d2) / t ** 2 + abs(d4) / t ** 4)
-    assert abs(whole - parts) <= 1e-13 * scale + 1e-300
-
-
-def test_running_constant_rejects_nonpositive_time():
-    with pytest.raises(DomainError):
-        lambda_of_t(1.0, 1.0, 1.0, 0.0)
-
-
-@pytest.mark.parametrize(
-    "slot,bad",
-    [(slot, bad) for slot in ("rho_bare", "d2", "d4", "g_newton", "light_speed")
-     for bad in (math.nan, math.inf, -math.inf)]
-    + [(slot, bad) for slot in ("g_newton", "light_speed") for bad in (0.0, -1.0)],
-)
-def test_running_constant_rejects_bad_inputs(slot, bad):
-    args = dict(rho_bare=1.0, d2=2.0, d4=3.0, g_newton=1.0, light_speed=1.0)
-    args[slot] = bad
-    with pytest.raises(DomainError):
-        lambda_of_t(t=1.5, **args)
-    with pytest.raises(DomainError):
-        lambda_coefficients(**args)
-
-
-@pytest.mark.parametrize("g_newton,light_speed",
-                         [(1.0, 1e-200), (1e300, 1e-10), (1e200, 1e-60)])
-def test_running_constant_refuses_an_infinite_factor(g_newton, light_speed):
-    # every input is finite, but 8 pi G / c**2 is not
-    args = dict(rho_bare=1.0, d2=2.0, d4=3.0, g_newton=g_newton,
-                light_speed=light_speed)
-    with pytest.raises(DomainError):
-        lambda_of_t(t=1.5, **args)
-    with pytest.raises(DomainError):
-        lambda_coefficients(**args)
-
-
-def test_running_constant_takes_a_large_light_speed():
-    # c**2 would overflow here; the factor itself is a tiny finite number
-    assert lambda_of_t(1.0, 0.0, 0.0, 5.0, light_speed=1e155) == pytest.approx(
-        EIGHT_PI * 1e-310, rel=1e-12)
-    assert lambda_of_t(1.0, 2.0, 3.0, 1.5, light_speed=1e200) == 0.0
-    assert lambda_coefficients(1.0, 2.0, 3.0, light_speed=1e200).lambda_bare == 0.0
-
-
-def test_coefficient_bundle_invariant():
-    bundle = lambda_coefficients(2.0, 3.0, 4.0, g_newton=5.0, light_speed=2.0)
-    assert isinstance(bundle, LambdaCoefficients)
-    pref = EIGHT_PI * 5.0 / 4.0
-    assert bundle.lambda_bare == pytest.approx(pref * 2.0, rel=1e-14)
-    assert bundle.big_d2 == pytest.approx(pref * bundle.d2, rel=1e-14)
-    assert bundle.big_d4 == pytest.approx(pref * bundle.d4, rel=1e-14)

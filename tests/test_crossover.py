@@ -1,15 +1,13 @@
-"""Cross-over time solver and the survivor-count helper."""
+"""Cross-over time solver: fixed-point oracle, bracket search and validation."""
 
 import math
 import warnings
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bwdecay import crossover
 from bwdecay.asymptotics import AsymptoticRangeWarning, amplitude_late
-from bwdecay.crossover import CrossoverResult, crossover_time, survivor_count
+from bwdecay.crossover import CrossoverResult, crossover_time
 from bwdecay.errors import BracketError, DomainError, ToleranceNotMet
 from bwdecay.model import BreitWignerModel
 from bwdecay.scan import time_grid
@@ -143,44 +141,6 @@ def test_solver_rejects_bad_arguments(kwargs):
     m = BreitWignerModel.from_beta(2.0)
     with pytest.raises(DomainError):
         crossover_time(m, **kwargs)
-
-
-def test_survivor_count_values():
-    r = survivor_count(1e-3, 1e6)
-    assert r.expected == pytest.approx(1000.0, rel=1e-15)
-    assert r.resolvable
-    assert not survivor_count(1e-3, 100.0).resolvable
-
-
-def test_survivor_count_threshold_is_a_parameter():
-    assert survivor_count(0.5, 10.0, threshold=4.0).resolvable
-    assert not survivor_count(0.5, 10.0, threshold=5.0).resolvable
-
-
-@pytest.mark.parametrize(
-    "p,n,kwargs",
-    [
-        (-0.1, 10.0, {}),
-        (1.1, 10.0, {}),
-        (math.nan, 10.0, {}),
-        (0.5, 0.0, {}),
-        (0.5, -5.0, {}),
-        (0.5, 10.0, {"threshold": 0.0}),
-        (0.5, 10.0, {"threshold": math.inf}),
-    ],
-)
-def test_survivor_count_rejects_bad_arguments(p, n, kwargs):
-    with pytest.raises(DomainError):
-        survivor_count(p, n, **kwargs)
-
-
-@given(
-    p=st.floats(min_value=0.0, max_value=1.0),
-    n=st.floats(min_value=1e-6, max_value=1e12),
-)
-@settings(max_examples=200)
-def test_survivor_count_is_the_product(p, n):
-    assert survivor_count(p, n).expected == p * n
 
 
 # The bracket search: a bisection over the grid suffix on which F

@@ -170,6 +170,13 @@ def test_density_peak_value():
     assert m.density(m.e0) == pytest.approx(n / TWO_PI * 4.0 / m.gamma0, rel=1e-14)
 
 
+@pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf, "1.0", None])
+def test_density_rejects_a_non_real_energy(e):
+    m = BreitWignerModel.from_beta(2.0)
+    with pytest.raises(DomainError, match="^e must be a finite real"):
+        m.density(e)
+
+
 @pytest.mark.parametrize("beta", [0.5, 2.0, 10.0])
 def test_density_normalizes_to_one(beta):
     m = BreitWignerModel.from_beta(beta, gamma0=0.5, emin=-1.0)

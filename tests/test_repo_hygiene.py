@@ -1,5 +1,6 @@
-"""Repository hygiene: no tracked file is also ignored by git, and the
-package imports exactly what pyproject.toml declares."""
+"""Repository hygiene: no tracked file is also ignored by git, the
+package imports exactly what pyproject.toml declares and uses every
+import, and its export list is sorted and resolves."""
 
 import ast
 import pathlib
@@ -9,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+
+import bwdecay
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -59,3 +62,46 @@ def test_imports_and_dependencies_match():
     assert not undeclared, "imported but not declared: {}".format(sorted(undeclared))
     unused = declared - imported
     assert not unused, "declared but never imported: {}".format(sorted(unused))
+
+
+def _unused_imports(tree):
+    # names bound by a module-level import that no Name node reads and
+    # the module's __all__ does not re-export
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                bound[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                bound[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_every_module_import_is_used():
+    # no linter runs here; __init__.py imports only to re-export
+    unused = {}
+    for path in sorted((ROOT / "src" / "bwdecay").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        found = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if found:
+            unused[path.name] = found
+    assert not unused, "imported but never used: {}".format(unused)
+
+
+def test_export_list_is_sorted_and_resolves():
+    names = bwdecay.__all__
+    assert names == sorted(set(names))
+    for name in names:
+        assert hasattr(bwdecay, name), name
+    # helpers outside the decay law stay out of the public surface
+    assert not {"LambdaCoefficients", "lambda_coefficients", "lambda_of_t",
+                "ratio_coefficients_legacy", "SurvivorCount",
+                "survivor_count"} & set(names)

@@ -38,6 +38,22 @@ class TestTimeGrid:
             assert all(b > a for a, b in zip(g, g[1:]))
             assert len(g) == 257
 
+    @pytest.mark.parametrize("lo,hi", [(1e-310, 1e8), (5e-324, 1e308),
+                                       (1e-200, 1e200)])
+    @pytest.mark.parametrize("points", [3, 5, 101])
+    def test_log_grid_spans_an_overflowing_ratio(self, lo, hi, points):
+        # hi / lo overflows although both ends are valid; the grid
+        # steps in logs instead and stays finite inside
+        assert hi / lo == math.inf
+        g = time_grid(lo, hi, points, "log")
+        assert (g[0], g[-1], len(g)) == (lo, hi, points)
+        assert all(math.isfinite(t) for t in g)
+        assert all(b > a for a, b in zip(g, g[1:]))
+
+    def test_log_grid_over_an_overflowing_ratio_is_geometric(self):
+        g = time_grid(1e-200, 1e200, 5, "log")
+        assert g[1:4] == pytest.approx([1e-100, 1.0, 1e100], rel=1e-12)
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -223,6 +239,16 @@ class TestScanCommand:
         assert res.stdout == ""
         assert res.stderr.startswith("numerical failure: beta * tau overflows")
         assert len(res.stderr.splitlines()) == 1
+
+    def test_log_grid_from_a_subnormal_tau_min(self, run_cli):
+        # tau_max / tau_min overflows; every row is still a finite tau
+        res = run_cli("scan", "--beta", "2", "--tau-min", "1e-310",
+                      "--tau-max", "1e8", "--points", "3", "--no-meta")
+        assert res.returncode == 0, res.stderr
+        _, header, rows = parse_csv_rows(res.stdout)
+        taus = [float(r[header.split(",").index("tau")]) for r in rows]
+        assert taus[0] == 1e-310 and taus[-1] == 1e8
+        assert 0.0 < taus[0] < taus[1] < taus[2]
 
     def test_quadrature_route_reaches_zero_time(self, run_cli):
         res = run_cli("scan", "--beta", "2", "--tau-min", "0", "--tau-max", "2",
