@@ -3,91 +3,66 @@
 Exact closed-form amplitude and effective Hamiltonian, an independent
 quadrature oracle, late-time asymptotics, and the exponential to
 power-law cross-over time, with a CSV/JSON command-line front end.
+Each export resolves on first use, by importing its defining module.
 """
 
 __version__ = "0.1.0"
 
-from .asymptotics import (
-    AsymptoticRangeWarning,
-    amplitude_late,
-    decay_rate_late,
-    energy_late,
-    i_brace_coefficients,
-    i_series,
-    j_brace_coefficients,
-    j_series,
-    ratio_coefficients,
-    ratio_series,
-)
-from .crossover import CrossoverResult, crossover_time
-from .errors import (
-    BracketError,
-    ConvergenceError,
-    DomainError,
-    NearZeroAmplitude,
-    ToleranceNotMet,
-)
-from .model import BreitWignerModel
-from .quadrature import (
-    amplitude_by_quadrature,
-    i_by_quadrature,
-    j_by_quadrature,
-)
-from .scan import ScanRow, scan_rows, time_grid
-from .special import EULER_GAMMA, exp_integral_e1, exp_integral_e1_scaled
-from .survival import (
-    AmplitudeValue,
-    EffectiveHamiltonianValue,
-    amplitude,
-    chi,
-    chi_derivative,
-    effective_hamiltonian,
-    effective_hamiltonian_brace,
-    i_beta,
-    i_beta_at_zero,
-    j_beta,
-    kappa,
-    survival_probability,
-)
+# each public name and the module that defines it
+_EXPORTS = {
+    "AmplitudeValue": "survival",
+    "AsymptoticRangeWarning": "asymptotics",
+    "BracketError": "errors",
+    "BreitWignerModel": "model",
+    "ConvergenceError": "errors",
+    "CrossoverResult": "crossover",
+    "DomainError": "errors",
+    "EULER_GAMMA": "special",
+    "EffectiveHamiltonianValue": "survival",
+    "NearZeroAmplitude": "errors",
+    "ScanRow": "scan",
+    "ToleranceNotMet": "errors",
+    "amplitude": "survival",
+    "amplitude_by_quadrature": "quadrature",
+    "amplitude_late": "asymptotics",
+    "chi": "survival",
+    "chi_derivative": "survival",
+    "crossover_time": "crossover",
+    "decay_rate_late": "asymptotics",
+    "effective_hamiltonian": "survival",
+    "effective_hamiltonian_brace": "survival",
+    "energy_late": "asymptotics",
+    "exp_integral_e1": "special",
+    "exp_integral_e1_scaled": "special",
+    "i_beta": "survival",
+    "i_beta_at_zero": "survival",
+    "i_brace_coefficients": "asymptotics",
+    "i_by_quadrature": "quadrature",
+    "i_series": "asymptotics",
+    "j_beta": "survival",
+    "j_brace_coefficients": "asymptotics",
+    "j_by_quadrature": "quadrature",
+    "j_series": "asymptotics",
+    "kappa": "survival",
+    "ratio_coefficients": "asymptotics",
+    "ratio_series": "asymptotics",
+    "scan_rows": "scan",
+    "survival_probability": "survival",
+    "time_grid": "scan",
+}
 
-__all__ = [
-    "AmplitudeValue",
-    "AsymptoticRangeWarning",
-    "BracketError",
-    "BreitWignerModel",
-    "ConvergenceError",
-    "CrossoverResult",
-    "DomainError",
-    "EULER_GAMMA",
-    "EffectiveHamiltonianValue",
-    "NearZeroAmplitude",
-    "ScanRow",
-    "ToleranceNotMet",
-    "amplitude",
-    "amplitude_by_quadrature",
-    "amplitude_late",
-    "chi",
-    "chi_derivative",
-    "crossover_time",
-    "decay_rate_late",
-    "effective_hamiltonian",
-    "effective_hamiltonian_brace",
-    "energy_late",
-    "exp_integral_e1",
-    "exp_integral_e1_scaled",
-    "i_beta",
-    "i_beta_at_zero",
-    "i_brace_coefficients",
-    "i_by_quadrature",
-    "i_series",
-    "j_beta",
-    "j_brace_coefficients",
-    "j_by_quadrature",
-    "j_series",
-    "kappa",
-    "ratio_coefficients",
-    "ratio_series",
-    "scan_rows",
-    "survival_probability",
-    "time_grid",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    # PEP 562; a non-export raises, so `from bwdecay import scan` finds the module
+    if name not in _EXPORTS:
+        raise AttributeError("module {!r} has no attribute {!r}".format(__name__, name))
+    from importlib import import_module
+    value = getattr(import_module("." + _EXPORTS[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

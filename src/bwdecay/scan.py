@@ -40,10 +40,12 @@ to the values.
 
 
 def time_grid(tau_min: float, tau_max: float, points: int, kind: str = "log") -> list:
-    """Monotone tau grid, linear or logarithmic.
+    """Strictly increasing tau grid, linear or logarithmic.
 
     The endpoints are produced exactly (no accumulated stepping error),
-    so repeated calls with the same arguments give identical grids.
+    so repeated calls with the same arguments give identical grids.  A
+    grid whose points would repeat in double precision raises
+    DomainError.
     """
     check_int("points", points, 2)
     if kind not in ("linear", "log"):
@@ -69,6 +71,14 @@ def time_grid(tau_min: float, tau_max: float, points: int, kind: str = "log") ->
             grid = [tau_min * ratio ** (i / (points - 1)) for i in range(points)]
     grid[0] = tau_min
     grid[-1] = tau_max
+    # too many points for the span in doubles (say near the subnormals, or
+    # 100 points on [1, 1 + 1e-15]) round to repeats; a scan would print them
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise DomainError(
+            "a {} grid of {} points on [{!r}, {!r}] repeats points in double "
+            "precision; use fewer points or a wider range".format(
+                kind, points, tau_min, tau_max)
+        )
     return grid
 
 

@@ -1,15 +1,17 @@
 """What a call costs, and that the memos behind it cannot be seen.
 
 No route imports scipy, the quadrature oracle included, and start-up
-does not load typing either.  A scan row evaluates its integrals once:
-survival_probability and effective_hamiltonian share one E1 pair, and
-the quadrature amplitude and J/I share one run of the oracle's rule,
-which integrates I and J together on the same panels.  The sharing
-goes through one-entry memos, which must never change a value or
-swallow an error.  The late-time coefficient tables are generated once
-per beta, not per point.  The E1 power series is a Horner polynomial of
-at most 33 steps, and it sees only arguments where its cancellation is
-at most e**4.
+does not load typing either.  An import loads only the package modules
+it computes with: the package's exports resolve on first use, and the
+cross-over solver loads neither the exact nor the quadrature route.  A
+scan row evaluates its integrals once: survival_probability and
+effective_hamiltonian share one E1 pair, and the quadrature amplitude
+and J/I share one run of the oracle's rule, which integrates I and J
+together on the same panels.  The sharing goes through one-entry memos,
+which must never change a value or swallow an error.  The late-time
+coefficient tables are generated once per beta, not per point.  The E1
+power series is a Horner polynomial of at most 33 steps, and it sees
+only arguments where its cancellation is at most e**4.
 """
 
 import cmath
@@ -96,6 +98,19 @@ print(*sizes)
 """
 
 
+# The package modules loaded by one import statement in a fresh process.
+_IMPORT_PROBE = """
+import sys
+{statement}
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "bwdecay")))
+"""
+
+_LATE_TIME = ["bwdecay", "bwdecay.asymptotics", "bwdecay.crossover", "bwdecay.errors",
+              "bwdecay.model"]
+_ROUTES = ["bwdecay._kernels_py", "bwdecay.quadrature", "bwdecay.scan",
+           "bwdecay.special", "bwdecay.survival"]
+
+
 def _bits(row):
     return tuple(v.hex() if isinstance(v, float) else v for v in row)
 
@@ -126,6 +141,21 @@ def test_bare_start_up_loads_neither_typing_nor_scipy():
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["bwdecay.cli"]
+
+
+@pytest.mark.parametrize("statement,loaded", [
+    ("import bwdecay", ["bwdecay"]),
+    ("from bwdecay import BreitWignerModel", ["bwdecay", "bwdecay.errors",
+                                             "bwdecay.model"]),
+    ("import bwdecay.crossover", _LATE_TIME),
+    ("import bwdecay.cli", sorted(_LATE_TIME + _ROUTES + ["bwdecay.cli"])),
+], ids=["package", "one_export", "crossover", "cli"])
+def test_an_import_loads_only_what_it_computes_with(statement, loaded):
+    # the cli case pins today's set: every CLI call imports all of it
+    res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE.format(statement=statement)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == loaded
 
 
 def test_import_builds_no_parser_and_main_builds_one():

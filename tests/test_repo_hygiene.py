@@ -1,8 +1,12 @@
 """Repository hygiene: no tracked file is also ignored by git, the
 package imports exactly what pyproject.toml declares and uses every
-import, and its export list is sorted and resolves."""
+import, its modules import each other without cycles and the
+late-time modules without the exact and quadrature routes, and its
+export list is sorted, resolves and keeps the facade's contract."""
 
 import ast
+import graphlib
+import importlib
 import pathlib
 import re
 import shutil
@@ -42,10 +46,16 @@ def _declared_dependencies():
             for s in specs}
 
 
+def _module_trees():
+    # module name ("__init__" for the package itself) -> its parsed source
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src" / "bwdecay").glob("*.py"))}
+
+
 def _imported_top_levels():
     names = set()
-    for path in (ROOT / "src" / "bwdecay").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in _module_trees().values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names.update(a.name.split(".")[0] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -85,14 +95,12 @@ def _unused_imports(tree):
 
 
 def test_every_module_import_is_used():
-    # no linter runs here; __init__.py imports only to re-export
+    # no linter runs here; __init__.py builds __all__ from its table
     unused = {}
-    for path in sorted((ROOT / "src" / "bwdecay").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        found = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    for name, tree in _module_trees().items():
+        found = _unused_imports(tree) if name != "__init__" else []
         if found:
-            unused[path.name] = found
+            unused[name + ".py"] = found
     assert not unused, "imported but never used: {}".format(unused)
 
 
@@ -105,3 +113,73 @@ def test_export_list_is_sorted_and_resolves():
     assert not {"LambdaCoefficients", "lambda_coefficients", "lambda_of_t",
                 "ratio_coefficients_legacy", "SurvivorCount",
                 "survivor_count"} & set(names)
+
+
+def _internal_import_graph():
+    # module -> the package modules its module-level "from ." imports
+    # name; "from . import __version__" names the package, "__init__"
+    trees = _module_trees()
+    graph = {name: set() for name in trees}
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                graph[name].update(t if t in trees else "__init__" for t in targets)
+    return graph
+
+
+def _reach(graph, start):
+    seen, todo = set(), [start]
+    while todo:
+        for dep in graph[todo.pop()] - seen:
+            seen.add(dep)
+            todo.append(dep)
+    return seen
+
+
+def test_import_graph_is_layered():
+    # the graph sees every import only if no module imports the package
+    # by its absolute name
+    assert "bwdecay" not in _imported_top_levels()
+    graph = _internal_import_graph()
+    assert graph["crossover"] == {"asymptotics", "errors", "model"}
+    # a cycle raises graphlib.CycleError
+    tuple(graphlib.TopologicalSorter(graph).static_order())
+    assert graph["__init__"] == set(), "the package must import no submodule eagerly"
+    # the paper's late-time results need neither the exact nor the
+    # quadrature route, nor the E1 kernels behind them
+    routes = {"scan", "survival", "quadrature", "special", "_kernels_py"}
+    for name in ("crossover", "asymptotics", "model", "errors"):
+        assert not _reach(graph, name) & routes, name
+
+
+# the public surface, pinned: adding or dropping a name is an API change
+_PUBLIC_NAMES = """
+    AmplitudeValue AsymptoticRangeWarning BracketError BreitWignerModel
+    ConvergenceError CrossoverResult DomainError EULER_GAMMA
+    EffectiveHamiltonianValue NearZeroAmplitude ScanRow ToleranceNotMet
+    amplitude amplitude_by_quadrature amplitude_late chi chi_derivative
+    crossover_time decay_rate_late effective_hamiltonian
+    effective_hamiltonian_brace energy_late exp_integral_e1
+    exp_integral_e1_scaled i_beta i_beta_at_zero i_brace_coefficients
+    i_by_quadrature i_series j_beta j_brace_coefficients j_by_quadrature
+    j_series kappa ratio_coefficients ratio_series scan_rows
+    survival_probability time_grid
+""".split()
+
+
+def test_facade_contract():
+    assert bwdecay.__all__ == _PUBLIC_NAMES
+    for name, module in bwdecay._EXPORTS.items():
+        defining = importlib.import_module("bwdecay." + module)
+        assert getattr(bwdecay, name) is getattr(defining, name), name
+        assert name in vars(bwdecay), "{} is not cached".format(name)
+    star = {}
+    exec("from bwdecay import *", star)
+    assert set(star) - {"__builtins__"} == set(bwdecay.__all__)
+    assert set(bwdecay.__all__) <= set(dir(bwdecay))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bwdecay.no_such_name
+    # a submodule that is not an export still imports by name
+    from bwdecay import backend
+    assert backend is sys.modules["bwdecay.backend"]

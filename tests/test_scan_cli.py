@@ -66,6 +66,10 @@ class TestTimeGrid:
             (0.01, 40.0, 10.0, "log"),
             (0.01, 40.0, "10", "log"),
             (0.01, 40.0, None, "linear"),
+            # valid ends, but too many points for the span in doubles
+            (1e-323, 1e-300, 1000, "log"),
+            (5e-324, 1e308, 10000, "log"),
+            (1.0, 1.0 + 1e-15, 100, "linear"),
         ],
     )
     def test_rejects_bad_grids(self, args):
@@ -216,6 +220,8 @@ class TestScanCommand:
             ("scan", "--beta", "2", "--tau-min", "5", "--tau-max", "2"),
             ("scan", "--beta", "2", "--tau-min", "0", "--tau-max", "2",
              "--grid", "linear", "--method", "asymptotic"),
+            ("scan", "--beta", "2", "--tau-min", "1e-323", "--tau-max", "1e-300",
+             "--points", "1000"),  # the grid would repeat points
         ],
     )
     def test_usage_errors_exit_2(self, run_cli, args):
