@@ -24,8 +24,7 @@ import warnings
 from . import __version__
 from .asymptotics import AMPLITUDE_TERMS, SERIES_TERMS, AsymptoticRangeWarning
 from .crossover import crossover_time
-from .errors import (BracketError, ConvergenceError, DomainError,
-                     NearZeroAmplitude, ToleranceNotMet)
+from .errors import BracketError, DomainError, NearZeroAmplitude, ToleranceNotMet
 from .model import BreitWignerModel
 from .scan import METHODS, ScanRow, scan_rows, time_grid
 
@@ -299,8 +298,8 @@ def main(argv=None) -> int:
         if args.command == "crossover":
             return _cmd_crossover(args, model)
         return _cmd_info(args, model)
-    except (ConvergenceError, ToleranceNotMet, BracketError,
-            NearZeroAmplitude, OverflowError) as exc:
+    except (ToleranceNotMet, BracketError, NearZeroAmplitude,
+            OverflowError) as exc:
         print("numerical failure: {}".format(exc), file=sys.stderr)
         return 3
     except DomainError as exc:

@@ -6,7 +6,11 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(ArithmeticError):
-    """An iterative scheme exhausted its budget before reaching tolerance."""
+    """An iterative scheme exhausted its budget before reaching tolerance.
+
+    Kept as part of the public surface; no route of the package raises it
+    any more, since every E1 kernel runs a length fixed before its loop.
+    """
 
 
 class ToleranceNotMet(ArithmeticError):

@@ -6,7 +6,7 @@ here: the overflow-safe scaled G(z) = exp(z)*E1(z), and E1 itself as
 exp(-z)*G(z).
 
 Both functions satisfy Schwarz reflection, E1(conj z) = conj E1(z),
-because every constant in the underlying series and fraction is real.
+because every constant in the underlying kernels is real.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ def exp_integral_e1(z) -> complex:
     -------
     complex
         E1(z) = integral of exp(-u)/u over the ray from z to +infinity,
-        relative error <= 1e-12 away from the cut.
+        relative error <= 1e-12 at every argument off the cut, however
+        close to it.
 
     Raises
     ------
@@ -57,11 +58,6 @@ def exp_integral_e1(z) -> complex:
     OverflowError
         If Re z < -700, where the exp(-z) factor exceeds double range;
         use :func:`exp_integral_e1_scaled` there.
-    ConvergenceError
-        If the continued fraction does not converge within its
-        500-step budget, which happens only near the cut, at Re z < 0
-        and |z| > 4.  The power series, which serves |z| <= 4 where
-        |z| + Re z <= 4, has a fixed length and never raises.
     """
     w = _checked(z)
     if w.real < _UNSCALED_LIMIT:

@@ -10,8 +10,9 @@ and J/I share one run of the oracle's rule, which integrates I and J
 together on the same panels.  The sharing goes through one-entry memos,
 which must never change a value or swallow an error.  The late-time
 coefficient tables are generated once per beta, not per point.  The E1
-power series is a Horner polynomial of at most 33 steps, and it sees
-only arguments where its cancellation is at most e**4.
+power series is a Horner polynomial of at most 33 steps on |z| <= 4 and
+124 on |z| <= 50, and it sees only arguments where its cancellation is
+at most e**4.
 """
 
 import cmath
@@ -255,9 +256,14 @@ def test_shared_pair_matches_fresh_calls():
         assert repr(value) == repr(fresh(name, tau)), (name, tau)
 
 
-def test_convergence_failure_raises_every_time():
-    # inside the small-beta hole: z- = -3.989 - 0.399j, just outside the
-    # series disc (ROADMAP item 3)
+def test_convergence_failure_raises_every_time(monkeypatch):
+    # an E1 call that fails must fail again on the next call: the memo
+    # behind the shared E1 pair never caches a failure
+    def failing(z):
+        raise ConvergenceError("no value at z = {!r}".format(z))
+
+    monkeypatch.setattr(survival, "exp_integral_e1_scaled", failing)
+    survival._pieces.cache_clear()
     model = BreitWignerModel.from_beta(0.05)
     tau = 7.9773739917783955
     for _ in range(2):
@@ -288,8 +294,25 @@ def test_series_makes_at_most_33_horner_steps():
     assert min(counts) == 12 and max(counts) == 33
 
 
+def test_series_makes_at_most_124_horner_steps_out_to_its_radius():
+    # where e1_scaled sends 4 < |z| < 50, near the negative real axis,
+    # and along the pole image z- = -tau/2 - i beta tau of beta = 1e-3
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    zs = [complex(-6.0, 2.0), complex(-20.0, -8.0), complex(-40.0, 12.0)]
+    zs += [complex(-0.5 * tau, -1e-3 * tau) for tau in (8.5, 20.0, 60.0, 99.99)]
+    assert all(4.0 < abs(z) < 50.0 and abs(z) + z.real <= 4.0 for z in zs)
+    counts = tracing.count_kernel_iterations(
+        lambda: [_kernels_py.e1_series(z) for z in zs])["series"]
+    assert len(counts) == len(zs)
+    assert min(counts) >= 33 and max(counts) == 124
+
+
 def test_series_sees_only_arguments_it_serves_to_working_precision(monkeypatch):
-    # e1_scaled sends z to the series exactly where |z| <= 4 and
+    # e1_scaled sends z to the series exactly where |z| < 50 and
     # |z| + Re z <= 4, whatever the scan or argument
     seen = []
     series = _kernels_py.e1_series
@@ -299,18 +322,15 @@ def test_series_sees_only_arguments_it_serves_to_working_precision(monkeypatch):
         return series(z)
 
     monkeypatch.setattr(_kernels_py, "e1_series", recording)
-    zs = _disk(4.5) + [complex(2.0, 0.0), complex(2.0, 1e-9), complex(4.0, 0.0)]
+    zs = _disk(4.5) + _disk(60.0) + [complex(2.0, 0.0), complex(2.0, 1e-9),
+                                     complex(4.0, 0.0), complex(-49.9, 0.01),
+                                     complex(-50.0, 0.01)]
     for z in zs:
-        try:
-            _kernels_py.e1_scaled(z)
-        except ConvergenceError:
-            pass  # the fraction near the cut
-    served = [z for z in zs if abs(z) <= 4.0 and abs(z) + z.real <= 4.0]
-    assert seen == served and len(served) > len(zs) // 2
+        _kernels_py.e1_scaled(z)
+    served = [z for z in zs if abs(z) < 50.0 and abs(z) + z.real <= 4.0]
+    assert seen == served and len(served) > len(zs) // 3
+    assert any(abs(z) > 4.0 for z in served)
     seen.clear()
     for beta in (1e-3, 0.05, 0.5, 2.0, 10.0, 100.0, 1e3):
-        try:
-            scan_rows(BreitWignerModel.from_beta(beta), time_grid(0.01, 40.0, 200))
-        except ConvergenceError:
-            pass  # the small-beta hole, ROADMAP item 3
-    assert seen and all(abs(z) <= 4.0 and abs(z) + z.real <= 4.0 for z in seen)
+        scan_rows(BreitWignerModel.from_beta(beta), time_grid(0.01, 40.0, 200))
+    assert seen and all(abs(z) < 50.0 and abs(z) + z.real <= 4.0 for z in seen)

@@ -201,12 +201,14 @@ def test_large_beta_amplitude_matches_exact_path(beta):
 @pytest.mark.parametrize("beta,tau", [(0.05, 7.9), (0.05, 7.9773739917783955),
                                       (0.05, 30.0), (0.01, 50.0)])
 def test_small_beta_hole_against_mpmath(beta, tau):
-    # inside the window where the exact route's E1 fraction stalls
-    # (ROADMAP item 3), the oracle is the fallback; it holds I and J
-    # against an independent 40-digit reference
+    # at small beta, z- = -tau/2 - i beta tau runs close to the cut past
+    # |z| = 4; the oracle and the exact route both hold I and J against
+    # an independent 40-digit reference there
     i_ref, j_ref = _mp_integrals(beta, tau)
     assert _rel(i_by_quadrature(beta, tau), i_ref) < 1e-12
     assert _rel(j_by_quadrature(beta, tau), j_ref) < 1e-12
+    assert _rel(i_beta(beta, tau), i_ref) < 1e-12
+    assert _rel(j_beta(beta, tau), j_ref) < 1e-12
 
 
 def _row_errors(beta, row, i_ref, j_ref):

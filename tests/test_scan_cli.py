@@ -278,12 +278,21 @@ class TestScanCommand:
             [math.exp(-0.5), math.exp(-2.0), math.exp(-8.0)], rel=1e-14)
 
     def test_quadrature_route_covers_the_small_beta_hole(self, run_cli):
-        # where the exact route's E1 fraction stalls (ROADMAP item 3),
-        # README points users to this fallback
+        # where z- = -tau/2 - i beta tau runs close to the cut past |z| = 4
         res = run_cli("scan", "--beta", "0.05", "--method", "quadrature",
                       "--tau-min", "7", "--tau-max", "60")
         assert res.returncode == 0, res.stderr
         assert len(parse_csv_rows(res.stdout)[2]) > 2
+
+    @pytest.mark.parametrize("beta", ["0.001", "0.01", "0.05", "0.1", "0.2", "0.22"])
+    def test_exact_route_covers_small_beta(self, run_cli, beta):
+        # z- = -tau/2 - i beta tau lies at the angle arctan(2 beta) from
+        # the cut, and the default grid takes it past |z| = 4
+        res = run_cli("scan", "--beta", beta)
+        assert res.returncode == 0, res.stderr
+        _, header, rows = parse_csv_rows(res.stdout)
+        p = header.split(",").index("p")
+        assert len(rows) == 500 and all(0.0 <= float(r[p]) <= 1.0 for r in rows)
 
 
 def _reference_scan_text(argv, rows):

@@ -1,18 +1,18 @@
 """Complex exponential integral: frozen references, an integral
-representation oracle, the kernels on |z| <= 4.5 and at their seam
-against 50-digit mpmath, and the documented failure modes."""
+representation oracle, the three kernels and their seams against 50-digit
+mpmath from |z| = 1e-3 to 1e11, and the documented failure modes."""
 
 import cmath
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 import scipy.special
 
 from bwdecay import _kernels_py
-from bwdecay.errors import ConvergenceError, DomainError
+from bwdecay.errors import DomainError
 from bwdecay.special import EULER_GAMMA, exp_integral_e1, exp_integral_e1_scaled
 
 
@@ -32,6 +32,19 @@ FROZEN_SCALED = [
 
 def _rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def _mp_e1(z):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return complex(mpmath.e1(mpmath.mpc(z.real, z.imag)))
+
+
+def _mp_e1_scaled(z):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        w = mpmath.mpc(z.real, z.imag)
+        return complex(mpmath.exp(w) * mpmath.e1(w))
 
 
 @pytest.mark.parametrize("z,expected", FROZEN_E1)
@@ -71,14 +84,11 @@ def test_unscaled_overflows_deep_left_half_plane():
     assert cmath.isfinite(v)
 
 
-def test_near_cut_convergence_failure_is_loud():
-    # arguments hugging the negative real axis at moderate modulus sit
-    # outside the continued fraction's budget; the contract is a raise,
-    # never a silently wrong number
-    with pytest.raises(ConvergenceError):
-        exp_integral_e1(complex(-5.0, -0.1))
-    with pytest.raises(ConvergenceError):
-        exp_integral_e1_scaled(complex(-5.0, -0.1))
+def test_near_cut_matches_mpmath():
+    # hugging the negative real axis past |z| = 4, where the series serves
+    z = complex(-5.0, -0.1)
+    assert _rel(exp_integral_e1(z), _mp_e1(z)) < 1e-14
+    assert _rel(exp_integral_e1_scaled(z), _mp_e1_scaled(z)) < 1e-14
 
 
 @pytest.mark.parametrize("z", [
@@ -87,20 +97,17 @@ def test_near_cut_convergence_failure_is_loud():
     complex(19283102.10581736, -3856620421163472.0),  # z+ at beta = 1e8
 ])
 def test_fraction_converges_at_large_modulus(z):
-    # at large |z| each step of the fraction can settle a few ulps below
-    # 1.0, which the 1e-16 step test never accepts; the value is
-    # converged all the same and must be returned, not refused
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        w = mpmath.mpc(z.real, z.imag)
-        expected = complex(mpmath.exp(w) * mpmath.e1(w))
-    assert _rel(exp_integral_e1_scaled(z), expected) < 1e-12
+    # the asymptotic sum serves these; the fraction at its fixed depth
+    # (12 steps here) agrees, so neither kernel limits |z|
+    expected = _mp_e1_scaled(z)
+    assert _rel(_kernels_py.e1_cf_scaled(z), expected) < 1e-14
+    assert _rel(exp_integral_e1_scaled(z), expected) < 1e-14
 
 
 @pytest.mark.parametrize("angle", [0.0, 0.8, -0.8, 1.6, -1.6, 2.4])
 def test_series_and_fraction_agree_at_the_seam(angle):
-    # both representations are accurate in a band around the switch
-    # radius, so their mismatch there bounds the worst seam jump
+    # both kernels are accurate on |z| = 4.05 at these angles, the series
+    # to within its e**(|z| + Re z) rounding, so each checks the other
     z = cmath.rect(4.05, angle)
     series = _kernels_py.e1_series(z)
     fraction = cmath.exp(-z) * _kernels_py.e1_cf_scaled(z)
@@ -126,22 +133,9 @@ def test_derivative_matches_exponential_kernel(z):
     assert _rel(fd, -cmath.exp(-z) / z) < 1e-6
 
 
-# The continued fraction stalls, raising ConvergenceError, only in a band
-# along the cut: Re z < 0, |z| > SERIES_RADIUS, |Im z| < STALL_REACH.
-# Swept at 0.002 steps of Im z, the band reaches |Im z| = 1.75 at
-# |z| = 4.25, 2.06 at 4.5, 2.45 at 10, 3.31 at 20.75 (its widest),
-# 2.2 at 30 and 0.64 at 50; from |z| = 60 nothing stalls.
-STALL_REACH = 3.5
-
-
-def _in_stall_band(z):
-    return (z.real < 0.0 and abs(z) > _kernels_py.SERIES_RADIUS
-            and abs(z.imag) < STALL_REACH)
-
-
 def _representation_points():
-    # deterministic sweep over all four quadrants and both algorithm
-    # branches, with rays 0.1 to 0.3 rad from the cut from |z| = 4.5 on
+    # deterministic sweep over all four quadrants, the series and the
+    # fraction, with rays 0.1 to 0.3 rad from the cut from |z| = 4.5 on
     pts = []
     for r in (0.3, 1.1, 2.7, 4.5, 8.0, 15.0, 40.0):
         for theta in (-2.4, -1.6, -0.8, 0.0, 0.8, 1.6, 2.4):
@@ -152,23 +146,11 @@ def _representation_points():
     return pts
 
 
-def _e1_unless_stalled(z):
-    # E1(z), or None where the fraction stalls; it may stall only in
-    # the band, and everywhere else it must return a value
-    try:
-        return exp_integral_e1(z)
-    except ConvergenceError:
-        assert _in_stall_band(z), z
-        return None
-
-
 @pytest.mark.parametrize("z", _representation_points())
 def test_integral_representation_oracle(z):
     # E1(z) = e^{-z} * int_0^inf e^{-s}/(z+s) ds, evaluated with the
     # generic adaptive rule, no shared code with the implementation
-    value = _e1_unless_stalled(z)
-    if value is None:
-        return
+    value = exp_integral_e1(z)
 
     def re_part(s):
         w = z + s
@@ -189,16 +171,7 @@ def test_integral_representation_oracle(z):
 def test_matches_scipy_reference(z):
     # scipy.special.exp1 is an independent implementation (no scaled
     # variant, which is why it cannot replace this module)
-    value = _e1_unless_stalled(z)
-    if value is not None:
-        assert _rel(value, scipy.special.exp1(z)) < 5e-12
-
-
-def test_representation_points_straddle_the_stall_band():
-    near_cut = [z for z in _representation_points()
-                if abs(z) >= 4.5 and abs(cmath.phase(z)) > math.pi - 0.31]
-    inside = sum(map(_in_stall_band, near_cut))
-    assert 0 < inside < len(near_cut)
+    assert _rel(exp_integral_e1(z), scipy.special.exp1(z)) < 5e-12
 
 
 @given(
@@ -208,32 +181,16 @@ def test_representation_points_straddle_the_stall_band():
 @settings(max_examples=200, deadline=None)
 def test_conjugate_reflection(re, im):
     z = complex(re, im)
-    try:
-        upper = exp_integral_e1(z)
-    except ConvergenceError:
-        assume(False)
+    upper = exp_integral_e1(z)
     lower = exp_integral_e1(z.conjugate())
     assert lower == pytest.approx(upper.conjugate(), rel=5e-14)
 
 
-# -- the series region and the seam, against mpmath at 50 digits ----------
-
-def _mp_e1(z):
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        return complex(mpmath.e1(mpmath.mpc(z.real, z.imag)))
-
+# -- the kernels and their seams, against mpmath at 50 digits --------------
 
 def _in_series_region(z):
     r = abs(z)
-    return r <= _kernels_py.SERIES_RADIUS and r + z.real <= _kernels_py.SERIES_SPREAD
-
-
-def _near_cut(z):
-    # the stall band on |z| <= 4.5, cut at |Im z| < 2: the band reaches
-    # |Im z| = 2.06 at |z| = 4.5, but no point of the disk sweep below
-    # lies in 2 <= |Im z| < 2.06 there
-    return _in_stall_band(z) and abs(z.imag) < 2.0
+    return r < _kernels_py.ASYMPTOTIC_RADIUS and r + z.real <= _kernels_py.SERIES_SPREAD
 
 
 def _small_disk_points():
@@ -246,7 +203,7 @@ def _small_disk_points():
         for i in range(1, 21):
             tau = i * step
             pts += [complex(0.5 * tau, -beta * tau), complex(-0.5 * tau, -beta * tau)]
-    return [z for z in pts if not (z.imag == 0.0 and z.real < 0.0) and not _near_cut(z)]
+    return [z for z in pts if not (z.imag == 0.0 and z.real < 0.0)]
 
 
 def test_small_disk_against_mpmath():
@@ -265,11 +222,19 @@ def test_small_disk_against_mpmath():
 
 @pytest.mark.parametrize("q", range(1, len(_kernels_py._SERIES_HORNER) + 1))
 def test_term_table_floor_lies_under_e1(q):
-    # the term table assumes |E1| >= e**-r/(r + 2) on |z| = r; on the cut
-    # E1 takes its value from above
+    # the term table assumes |E1| >= e**-r/(r + 2) on |z| = r <= 4, and
+    # |E1| >= e**(s - 4)/(s + 2) on the arc of |z| = s >= 4 where
+    # |z| + Re z <= 4, the least of |E1| on the series' part of the
+    # quarter s < |z| <= s + 1/4; on the cut E1 takes its value from above
     r = 0.25 * q
-    floor = math.exp(-r) / (r + 2.0)
-    arc = [cmath.rect(r, math.pi * j / 32) for j in range(-31, 33)]
+    if r <= 4.0:
+        floor = math.exp(-r) / (r + 2.0)
+        arc = [cmath.rect(r, math.pi * j / 32) for j in range(-31, 33)]
+    else:
+        s = r - 0.25
+        floor = math.exp(s - 4.0) / (s + 2.0)
+        edge = math.acos(4.0 / s - 1.0)
+        arc = [cmath.rect(s, edge + (math.pi - edge) * j / 8) for j in range(9)]
     assert min(abs(_mp_e1(z)) for z in arc) >= floor
 
 
@@ -285,4 +250,31 @@ def test_series_and_fraction_agree_where_the_spread_reaches_four(angle):
 
 def test_series_refuses_beyond_its_table():
     with pytest.raises(ValueError):
-        _kernels_py.e1_series(complex(8.5, 0.0))
+        _kernels_py.e1_series(complex(50.5, 0.0))
+
+
+def _sweep_points():
+    # |z| from 1e-3 to 1e11 at 24 angles, four of them 1e-3 or 1e-9 rad
+    # from the cut; both sides of the seams |z| = 50 and |z| + Re z = 4; and the
+    # pole images z+- = +-tau/2 - i beta tau of beta in [1e-3, 1e8]
+    angles = [math.pi * j / 10 for j in range(-9, 11)]
+    angles += [math.pi - 1e-3, 1e-3 - math.pi, math.pi - 1e-9, 1e-9 - math.pi]
+    pts = [cmath.rect(10.0 ** (n / 4), a) for n in range(-12, 45) for a in angles]
+    for r in (49.99, 50.0, 50.01):
+        pts += [cmath.rect(r, a) for a in angles]
+    for a in [math.pi * j / 20 for j in range(-19, 20)]:
+        edge = 4.0 / (1.0 + math.cos(a))
+        if edge < 50.0:
+            pts += [cmath.rect(edge * f, a) for f in (0.999, 1.0, 1.001)]
+    for beta in (1e-3, 1e-2, 0.05, 0.1, 0.22, 0.5, 2.0, 10.0, 100.0, 1e4, 1e6, 1e8):
+        for n in range(-8, 33):
+            tau = 10.0 ** (n / 4)
+            pts += [complex(0.5 * tau, -beta * tau), complex(-0.5 * tau, -beta * tau)]
+    return pts
+
+
+def test_scaled_e1_against_mpmath_over_the_plane():
+    # every kernel and both seams hold 1e-14 relative, next to the cut too
+    worst = max(((_rel(exp_integral_e1_scaled(z), _mp_e1_scaled(z)), z)
+                 for z in _sweep_points()), key=lambda pair: pair[0])
+    assert worst[0] < 1e-14, worst

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bwdecay import survival
 from bwdecay.asymptotics import i_series, j_series
-from bwdecay.errors import ConvergenceError, DomainError, NearZeroAmplitude
+from bwdecay.errors import DomainError, NearZeroAmplitude
 from bwdecay.model import BreitWignerModel
 from bwdecay.quadrature import amplitude_by_quadrature
 from bwdecay.scan import scan_rows, time_grid
@@ -138,13 +138,13 @@ def test_survival_probability_has_the_bits_of_the_amplitude(beta):
 
 
 def test_survival_probability_fails_like_the_amplitude(monkeypatch):
-    # inside the small-beta hole (ROADMAP item 3) both raise
+    # at small beta, where z- = -tau/2 - i beta tau runs close to the
+    # cut, both return the oracle's value
     m = BreitWignerModel.from_beta(0.05)
     tau = 7.9773739917783955
-    with pytest.raises(ConvergenceError):
-        amplitude(m, tau)
-    with pytest.raises(ConvergenceError):
-        survival_probability(m, tau)
+    a = amplitude(m, tau)
+    assert abs(a.value - amplitude_by_quadrature(m, tau)) <= 1e-12 * abs(a.value)
+    assert survival_probability(m, tau) == a.probability
     # and an |a|**2 past 1 + P_SLACK is refused by both, not clipped
     m = BreitWignerModel.from_beta(2.0)
     i_and_phase = survival._i_and_phase
@@ -161,8 +161,8 @@ def test_survival_probability_fails_like_the_amplitude(monkeypatch):
 
 
 @given(
-    beta=st.floats(min_value=0.3, max_value=200.0),
-    tau=st.floats(min_value=0.0, max_value=300.0),
+    beta=st.floats(min_value=1e-3, max_value=1e5),
+    tau=st.floats(min_value=0.0, max_value=1e8),
 )
 @settings(max_examples=300, deadline=None)
 def test_amplitude_stays_in_unit_disc(beta, tau):
@@ -296,9 +296,8 @@ def test_near_zero_amplitude_raises():
 
 
 def test_exact_route_covers_large_beta_tau():
-    # 30 x 30 log grid, beta in [1e5, 1e8] by tau in [1e6, 1e8]: the
-    # fraction used to stall one ulp short of its stopping test at 188
-    # of these points and raise ConvergenceError
+    # 30 x 30 log grid, beta in [1e5, 1e8] by tau in [1e6, 1e8], where
+    # |z+-| reaches 1e16
     for i in range(30):
         m = BreitWignerModel.from_beta(1e5 * 10.0 ** (3.0 * i / 29))
         for j in range(30):
