@@ -31,6 +31,7 @@ from .scan import METHODS, ScanRow, scan_rows, time_grid
 _CONFIG_KEYS = ("beta", "e0", "gamma0", "emin", "hbar")
 _MODEL_DEFAULTS = {"gamma0": 1.0, "emin": 0.0, "hbar": 1.0}
 _INF = float("inf")
+_CHUNK = 4096  # grid points a scan evaluates and renders at a time
 
 
 def _fmt(value) -> str:
@@ -50,14 +51,14 @@ def _json_value(value) -> str:
     return json.dumps(value)
 
 
-# One scan row as CSV, for tau > 0 where every column but the last
+# One scan row as a CSV line, for tau > 0 where every column but the last
 # (method) is a float, and as a json.dumps(..., indent=2) member of the
 # "rows" list: any row through _json_value, and a row of six finite
 # floats with "{!r}", which is float.__repr__, the spelling json uses.
 # The finite row's template ends in the method, spelled once per scan
 # (scan_rows stamps every row with it), so format leaves the row's
 # seventh field unread.
-_CSV_ROW = ",".join(["{:.17g}"] * (len(ScanRow._fields) - 1) + ["{}"])
+_CSV_ROW = ",".join(["{:.17g}"] * (len(ScanRow._fields) - 1) + ["{}\n"])
 _JSON_KEYS = ["      " + json.dumps(name) + ": " for name in ScanRow._fields]
 _JSON_ROW = "    {{\n" + ",\n".join(key + "{}" for key in _JSON_KEYS) + "\n    }}"
 _JSON_FINITE_ROW = "    {{\n" + "".join(
@@ -126,22 +127,45 @@ def _resolve_model(args, parser: argparse.ArgumentParser) -> BreitWignerModel:
         parser.error("invalid model: {}".format(exc))
 
 
-def _write_text(text: str, out_path) -> None:
-    if out_path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write_text(parts, args) -> None:
+    """Write the strings ``parts`` in order to stdout or ``--out``."""
+    if args.out in (None, "-"):
+        sys.stdout.writelines(parts)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(parts)
+    except OSError as exc:
+        args.parser.error("cannot write output file {}: {}".format(args.out, exc))
 
 
 def _cmd_scan(args, model: BreitWignerModel) -> int:
     # time_grid and scan_rows validate every argument; main maps their
     # DomainError to a usage error
     taus = time_grid(args.tau_min, args.tau_max, args.points, args.grid)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", AsymptoticRangeWarning)
-        rows = scan_rows(model, taus, method=args.method, terms=args.terms)
-    flagged = sum(1 for w in caught if issubclass(w.category, AsymptoticRangeWarning))
+    csv = args.output == "csv"
+    # Rows are evaluated and rendered _CHUNK at a time, and only the
+    # rendered text is kept, so a scan holds its output once.  Nothing
+    # is written until every row has succeeded.
+    body = []
+    flagged = 0
+    for i in range(0, len(taus), _CHUNK):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", AsymptoticRangeWarning)
+            rows = scan_rows(model, taus[i:i + _CHUNK], method=args.method,
+                             terms=args.terms)
+        flagged += sum(1 for w in caught
+                       if issubclass(w.category, AsymptoticRangeWarning))
+        if csv:
+            # the tau = 0 row has empty Hamiltonian fields
+            body.append("".join([
+                _CSV_ROW.format(*r) if r.kappa is not None else
+                ",".join([_fmt(v) for v in r[:-1]] + [r.method]) + "\n"
+                for r in rows]))
+        else:
+            if i:
+                body.append(",\n")
+            body.append(_json_rows(rows, args.method))
     if flagged:
         print(
             "note: {} series evaluations were outside the asymptotic "
@@ -158,23 +182,17 @@ def _cmd_scan(args, model: BreitWignerModel) -> int:
         "terms": args.terms,
         "version": __version__,
     }
-    if args.output == "csv":
-        lines = [] if meta is None else ["# bwdecay scan " + " ".join(
+    if csv:
+        head = "" if meta is None else "# bwdecay scan " + " ".join(
             "{}={}".format(k, v if isinstance(v, str) else _fmt(v))
-            for k, v in meta.items())]
-        lines.append(",".join(ScanRow._fields))
-        # the tau = 0 row has empty Hamiltonian fields
-        lines.extend(_CSV_ROW.format(*r) if r.kappa is not None else
-                     ",".join([_fmt(v) for v in r[:-1]] + [r.method])
-                     for r in rows)
-        text = "\n".join(lines) + "\n"
+            for k, v in meta.items()) + "\n"
+        _write_text([head + ",".join(ScanRow._fields) + "\n", *body], args)
     else:
         # the bytes json.dumps(..., indent=2) gives for {"meta": meta,
         # "rows": [row._asdict(), ...]}, without its pure-Python encoder
         head = "{\n" if meta is None else '{{\n  "meta": {},\n'.format(
             json.dumps(meta, indent=2).replace("\n", "\n  "))
-        text = head + '  "rows": [\n' + _json_rows(rows, args.method) + "\n  ]\n}\n"
-    _write_text(text, args.out)
+        _write_text([head + '  "rows": [\n', *body, "\n  ]\n}\n"], args)
     return 0
 
 
@@ -184,7 +202,7 @@ def _write_record(record: dict, args) -> int:
             _fmt(v) for v in record.values()) + "\n"
     else:
         text = json.dumps(record, indent=2) + "\n"
-    _write_text(text, args.out)
+    _write_text([text], args)
     return 0
 
 

@@ -10,11 +10,13 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
 
 from bwdecay import __version__, cli
+from bwdecay.asymptotics import AsymptoticRangeWarning
 from bwdecay.cli import _build_parser
 from bwdecay.errors import DomainError
 from bwdecay.model import BreitWignerModel
@@ -340,7 +342,8 @@ class TestScanRendering:
     @pytest.mark.parametrize("scan", RENDER_SCANS)
     @pytest.mark.parametrize("output", ["csv", "json"])
     @pytest.mark.parametrize("no_meta", [False, True])
-    def test_matches_the_reference_rendering(self, scan, output, no_meta):
+    def test_matches_the_reference_rendering(self, monkeypatch, scan, output,
+                                             no_meta):
         argv = ["scan", "--beta", "2.5", *scan, "--output", output]
         if no_meta:
             argv.append("--no-meta")
@@ -350,7 +353,73 @@ class TestScanRendering:
             rows = scan_rows(BreitWignerModel.from_beta(ns.beta),
                              time_grid(ns.tau_min, ns.tau_max, ns.points, ns.grid),
                              method=ns.method, terms=ns.terms)
-        assert _cli_stdout(argv) == _reference_scan_text(argv, rows)
+        expected = _reference_scan_text(argv, rows)
+        # the grid is evaluated and rendered in slices of _CHUNK points;
+        # one-point slices, slices that split the grid unevenly and one
+        # slice for the whole grid must all print the same bytes
+        for chunk in (1, 4, cli._CHUNK):
+            monkeypatch.setattr(cli, "_CHUNK", chunk)
+            assert _cli_stdout(argv) == expected, "slices of {}".format(chunk)
+
+    @pytest.mark.parametrize("chunk", [4, cli._CHUNK])
+    def test_range_note_counts_every_slice(self, monkeypatch, chunk):
+        # the first five of these 31 rows lie below the series' reliable
+        # region, so with four-point slices they fall in two slices
+        argv = ["scan", "--beta", "2.5", "--method", "asymptotic", "--terms", "3",
+                "--tau-min", "0.5", "--tau-max", "1e4", "--points", "31"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", AsymptoticRangeWarning)
+            scan_rows(BreitWignerModel.from_beta(2.5),
+                      time_grid(0.5, 1e4, 31, "log"), method="asymptotic", terms=3)
+        assert len(caught) == 5
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli.main(argv) == 0
+        assert err.getvalue() == (
+            "note: 5 series evaluations were outside the asymptotic series' "
+            "reliable region\n")
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_scan_holds_its_output_once(self, monkeypatch, tmp_path, output):
+        # a scan keeps the rendered text of the rows it has computed and
+        # the rows of one slice, not every row and several copies of the
+        # text; the traced peak stays below twice the output's size
+        monkeypatch.setattr(cli, "_CHUNK", 256)
+        target = tmp_path / "scan.out"
+        argv = ["scan", "--beta", "2", "--points", "2049", "--output", output,
+                "--out", str(target)]
+        # the first call in a process also builds the parser and fills
+        # caches that live on after it
+        assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert peak < 2 * size, "peak {} bytes for {} bytes of output".format(
+            peak, size)
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_a_failure_in_a_late_slice_writes_nothing(self, monkeypatch, tmp_path,
+                                                      to_file):
+        # only the last of the five rows, in the third two-point slice,
+        # overflows beta * tau; the slices before it are rendered by then
+        monkeypatch.setattr(cli, "_CHUNK", 2)
+        target = tmp_path / "scan.csv"
+        target.write_text("kept\n")
+        argv = ["scan", "--beta", "1e300", "--tau-min", "1e-300", "--tau-max", "1e9",
+                "--points", "5"] + (["--out", str(target)] if to_file else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(argv) == 3
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(
+            "numerical failure: beta * tau overflows double range at beta = 1e+300, "
+            "tau = 1000000000.0;")
+        assert target.read_text() == "kept\n"
 
     @pytest.mark.parametrize("output", ["csv", "json"])
     def test_non_finite_and_signed_zero_values(self, monkeypatch, output):
@@ -443,6 +512,24 @@ class TestModelResolution:
         lines = res.stderr.splitlines()
         assert lines[0].startswith("usage: bwdecay {} [-h]".format(command))
         assert lines[-1].startswith("bwdecay {}: error: ".format(command))
+
+    @pytest.mark.parametrize("command, out", [
+        ("info", "missing/x.json"),
+        ("crossover", "missing/x.json"),
+        ("scan", "."),
+    ], ids=["info-missing-dir", "crossover-missing-dir", "scan-a-dir"])
+    def test_unwritable_out_is_a_usage_error(self, run_cli, tmp_path, command, out):
+        # a file in a missing directory, or a directory where the file
+        # should be
+        path = str(tmp_path / out)
+        res = run_cli(command, "--beta", "2", "--out", path)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        lines = res.stderr.splitlines()
+        assert lines[0].startswith("usage: bwdecay {} [-h]".format(command))
+        assert lines[-1].startswith(
+            "bwdecay {}: error: cannot write output file {}: ".format(command, path))
 
     def test_e0_route(self, run_cli):
         res = run_cli("info", "--e0", "3", "--gamma0", "0.5", "--emin", "1")

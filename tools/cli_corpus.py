@@ -4,9 +4,9 @@ Runs about a hundred argument lists through ``bwdecay.cli.main`` in one
 process and writes, for each, its stdout, stderr and exit code to a JSON
 file.  The list covers ``info``, ``crossover`` at every order, and the
 exact, asymptotic and quadrature scans in CSV and JSON over a spread of
-beta, plus the usage and numerical error paths.  Two trees that print
-the same bytes give the same file, so a refactor that should change no
-output is checked with
+beta, two scans of 8,193 rows, and the usage and numerical error paths.
+Two trees that print the same bytes give the same file, so a refactor
+that should change no output is checked with
 
     PYTHONPATH=OLD/src python tools/cli_corpus.py old.json
     PYTHONPATH=NEW/src python tools/cli_corpus.py new.json
@@ -40,6 +40,13 @@ SCANS = (
      "--points", "9"),
 )
 
+# exact scans long enough that the CLI evaluates and renders them in
+# three slices, the last one row long
+LONG_SCANS = (
+    ("scan", "--beta", "2", "--points", "8193", "--output", "csv"),
+    ("scan", "--beta", "2", "--points", "8193", "--output", "json"),
+)
+
 ERRORS = (
     # usage errors, exit 2
     ("scan",),
@@ -62,6 +69,9 @@ ERRORS = (
      "--points", "2"),
     ("scan", "--beta", "0.05", "--tau-min", "7", "--tau-max", "9", "--points", "5"),
     ("crossover", "--beta", "10", "--amp-const", "1e-300"),
+    # NearZeroAmplitude at tau ~ 1343.8, in the third slice of the grid
+    ("scan", "--beta", "1e300", "--tau-min", "1e-300", "--tau-max", "1e9",
+     "--points", "9000"),
 )
 
 
@@ -77,7 +87,7 @@ def corpus() -> list:
         for scan in SCANS:
             for output in ("csv", "json"):
                 calls.append(("scan", *model, *scan, "--output", output))
-    return calls + list(ERRORS)
+    return calls + list(LONG_SCANS) + list(ERRORS)
 
 
 def run(argv) -> dict:
