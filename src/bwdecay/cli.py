@@ -10,7 +10,8 @@ then plot p against tau with a logarithmic y-axis (panel A),
 gamma_ratio against tau (panel B, dashed reference at 1), and kappa
 against tau (panel C, dashed reference at 1).
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 numerical failure, 141 standard
+output closed by its reader (as under ``| head``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import warnings
 
@@ -32,6 +34,7 @@ _CONFIG_KEYS = ("beta", "e0", "gamma0", "emin", "hbar")
 _MODEL_DEFAULTS = {"gamma0": 1.0, "emin": 0.0, "hbar": 1.0}
 _INF = float("inf")
 _CHUNK = 4096  # grid points a scan evaluates and renders at a time
+_EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, how a shell reports a writer ended by it
 
 
 def _fmt(value) -> str:
@@ -130,7 +133,14 @@ def _resolve_model(args, parser: argparse.ArgumentParser) -> BreitWignerModel:
 def _write_text(parts, args) -> None:
     """Write the strings ``parts`` in order to stdout or ``--out``."""
     if args.out in (None, "-"):
-        sys.stdout.writelines(parts)
+        try:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()  # so that a closed pipe raises here
+        except BrokenPipeError:
+            # the reader has gone; point stdout at devnull, so that the
+            # flush at exit finds no pipe to fail on, and exit quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(_EXIT_BROKEN_PIPE)
         return
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -23,11 +23,15 @@ frequency rotates the contour up, past the pole at +i/2; at tau = 0 I
 alone is integrated along the same ray, with no weight.
 
 The rule substitutes t = s tau, then t = u/(1 - u), and splits u in
-[0, 1] at the image of the pole, t = tau/2.  It is a globally adaptive
-Gauss-Kronrod 7/15 rule (R. Piessens et al., QUADPACK, Springer 1983)
-applied to I and J on the same panels: it bisects the panel with the
-largest error relative to its budget, until each of I and J carries a
-certificate
+[0, 1] at the image of the pole, t = tau/2.  It starts from panels
+graded to the integrand's two features: halved toward the pole image
+from both sides, down to its half-width beta*tau*(1 - u)**2 in u, while
+the image's weight e^{-tau/2} counts; and halved toward u = 1, for the
+decay e^{-t}, where the ray integral counts.  The start holds at most
+45 panels.  From there it is a globally adaptive Gauss-Kronrod 7/15
+rule (R. Piessens et al., QUADPACK, Springer 1983) applied to I and J
+on the same panels: it bisects the panel with the largest error
+relative to its budget, until each of I and J carries a certificate
 
     err = (sum of |K15 - G7| over the panels) + roundoff floor
        <= REL_TOL*|value| + ABS_TOL,
@@ -48,8 +52,8 @@ from .model import _TAU_FLOOR, BreitWignerModel, _phase, check_beta, check_tau
 _TWO_PI = 2.0 * math.pi
 
 # The oracle's contract: a returned value is within REL_TOL*|value| +
-# ABS_TOL by its certificate, found on at most MAX_PANELS panels (the
-# split at the pole image makes two to start with).
+# ABS_TOL by its certificate, found on at most MAX_PANELS panels, the
+# graded start's included.
 REL_TOL = 1e-10
 ABS_TOL = 1e-14
 MAX_PANELS = 10_000
@@ -63,6 +67,16 @@ _MIN_WIDTH = 1e-13
 
 # The split at the pole image t = tau/2 is capped where e^{-t} underflows.
 _MAX_BREAK = 745.0
+
+# The graded start halves toward the pole image at most _HALVINGS times
+# from each side, and only while the image's weight e^{-t} exceeds
+# ABS_TOL.  It adds _DECAY_POINTS dyadic points toward u = 1 where the
+# ray integral needs a relative accuracy finer than _RAY_CUT.  So it
+# holds at most 2*20 + 3 + 2 = 45 panels, whatever beta and tau.
+_HALVINGS = 20
+_POLE_CUT = -math.log(ABS_TOL)
+_DECAY_POINTS = 3
+_RAY_CUT = 1e-5
 
 # (node, Kronrod weight, Gauss weight) of the 7/15 pair on [-1, 1]
 _XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
@@ -87,6 +101,7 @@ def _panel(a: float, b: float, beta: float, k: complex, rate: float) -> tuple:
     # The pole factors 1/(eta -+ i/2) never form eta**2, so a huge beta
     # underflows to 0 instead of overflowing to NaN.
     exp = math.exp
+    neg_rate = -rate
     h = 0.5 * (b - a)
     c = a + h
     e = 1.0 - c
@@ -96,20 +111,58 @@ def _panel(a: float, b: float, beta: float, k: complex, rate: float) -> tuple:
         hx = h * x
         v = 1.0 / (e - hx)  # 1/(1 - u), without cancellation near u = 1
         t = (c + hx) * v
-        w = exp(-rate * t) * v * v
+        w = exp(neg_rate * t) * v * v
         eta = k * t - beta
         p = 1.0 / (eta - 0.5j)
         q = 1.0 / (eta + 0.5j)
         fi = w * (p * q)
         fj = w * (p + q)  # twice the J integrand
         ki += wk * fi
-        gi += wg * fi
         ai += wk * abs(fi)
         kj += wk * fj
-        gj += wg * fj
         aj += wk * abs(fj)
+        if wg:  # eight of the fifteen nodes are Kronrod's alone
+            gi += wg * fi
+            gj += wg * fj
     hj = 0.5 * h
     return ki * h, abs(ki - gi) * h, ai * h, kj * hj, abs(kj - gj) * hj, aj * hj
+
+
+def _start(beta: float, omega: float, scale: float) -> list:
+    # The first panels, graded to the integrand's two features in u.  Each
+    # point bisects a panel made before it, so the rule could reach this
+    # partition itself; starting on it saves the evaluations of the
+    # coarser panels that bisection would throw away.  At most
+    # MAX_PANELS - 2 points join the split at the pole image, so that
+    # MAX_PANELS counts every panel.
+    t_break = min(0.5 * scale, _MAX_BREAK)
+    u_break = t_break / (1.0 + t_break)
+    left, right, decay = [], [], []
+    if t_break < _POLE_CUT:
+        # the pole factor 1/(eta -+ i/2) peaks at u_break, over a
+        # half-width beta*scale in t and w in u: halve toward it from both
+        # sides down to about w, or _HALVINGS times where w underflows
+        w = beta * scale * (1.0 - u_break) ** 2
+        a, b = 0.0, 1.0
+        while u_break - a > w and len(left) < _HALVINGS:
+            a = 0.5 * (a + u_break)
+            left.append(a)
+        while b - u_break > w and len(right) < _HALVINGS:
+            b = 0.5 * (u_break + b)
+            right.append(b)
+    # the weight e^{-t} falls off over t = 1, 3, 7, ...: halve the last
+    # panel toward u = 1 where the ray integral must be resolved finely.
+    # At large beta the ray integral of J, of size 1/(beta*scale), sits
+    # under a budget the pole term sets, and needs only _RAY_CUT relative
+    # accuracy or coarser; a panel or two resolve it there.
+    if omega and beta * scale * (REL_TOL * math.pi * math.exp(-0.5 * scale)
+                                 + ABS_TOL) < _RAY_CUT:
+        a = right[0] if right else u_break
+        for _ in range(_DECAY_POINTS):
+            a = 0.5 * (a + 1.0)
+            decay.append(a)
+    points = sorted([0.0, u_break, 1.0, *(left + right + decay)[:max(0, MAX_PANELS - 2)]])
+    return list(zip(points, points[1:]))
 
 
 def quad(beta: float, omega: float) -> tuple:
@@ -131,12 +184,12 @@ def quad(beta: float, omega: float) -> tuple:
     pole_i, pole_j = _TWO_PI * decay, -1j * sign * math.pi * decay
     pole_floor_i, pole_floor_j = _ROUNDOFF * abs(pole_i), _ROUNDOFF * abs(pole_j)
     rel, tol = REL_TOL, ABS_TOL
-    t_break = min(0.5 * scale, _MAX_BREAK)
-    u_break = t_break / (1.0 + t_break)
     # columns: panel ends, then the six sums of _panel, one list each
-    ends = [(0.0, u_break), (u_break, 1.0)]
-    cols = [list(pair) for pair in zip(_panel(0.0, u_break, beta, k, rate),
-                                        _panel(u_break, 1.0, beta, k, rate))]
+    ends = _start(beta, omega, scale)
+    cols = [[], [], [], [], [], []]
+    for a, b in ends:
+        for col, value in zip(cols, _panel(a, b, beta, k, rate)):
+            col.append(value)
     errs_i, errs_j = cols[1], cols[4]
     while True:
         ri, ei, ai, rj, ej, aj = map(sum, cols)

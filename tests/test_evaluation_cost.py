@@ -9,7 +9,9 @@ effective_hamiltonian share one E1 pair, and the quadrature amplitude
 and J/I share one run of the oracle's rule, which integrates I and J
 together on the same panels.  The sharing goes through one-entry memos,
 which must never change a value or swallow an error.  The late-time
-coefficient tables are generated once per beta, not per point.  The E1
+coefficient tables are generated once per beta, not per point.  The
+oracle's rule starts from at most 45 panels graded to the integrand's
+features, and evaluates at most 11 per point on the oracle grid.  The E1
 power series is a Horner polynomial of at most 33 steps on |z| <= 4 and
 124 on |z| <= 50, and it sees only arguments where its cancellation is
 at most e**4.
@@ -226,6 +228,44 @@ def test_quadrature_row_integrates_i_once(monkeypatch):
     rows = scan_rows(BreitWignerModel.from_beta(2.3), taus, method="quadrature")
     assert len(rows) == len(taus)
     assert [args[1] for args in calls] == taus
+
+
+def test_graded_start_saves_panels(monkeypatch):
+    # on the oracle workload's grid, 5 nominal beta by 40 log tau on
+    # [0.01, 40], the rule evaluates at most 11 panels per point; from a
+    # two-panel start it bisects toward the same features and evaluates
+    # 15.4, throwing away the 15 nodes of each panel it splits
+    calls = []
+    panel = quadrature._panel
+
+    def counting(*args):
+        calls.append(args)
+        return panel(*args)
+
+    monkeypatch.setattr(quadrature, "_panel", counting)
+    points = [(beta, tau) for beta in (0.05, 0.5, 2.0, 10.0, 100.0)
+              for tau in time_grid(0.01, 40.0, 40, "log")]
+    for beta, tau in points:
+        quadrature.quad(beta, tau)
+    assert len(calls) <= 11 * len(points)
+
+
+@pytest.mark.parametrize("tau", [0.0, 5e-324, 1e-18, 1e4, 1e8])
+@pytest.mark.parametrize("beta", [5e-324, 1e-3, 1e150])
+def test_graded_start_is_bounded(monkeypatch, beta, tau):
+    # at most 45 panels for every beta > 0 and tau >= 0, also where the
+    # pole image's half-width underflows to 0 or tau is subnormal
+    sizes = []
+    start = quadrature._start
+
+    def recording(*args):
+        ends = start(*args)
+        sizes.append(len(ends))
+        return ends
+
+    monkeypatch.setattr(quadrature, "_start", recording)
+    quadrature.quad(beta, tau)
+    assert len(sizes) == 1 and 2 <= sizes[0] <= 45
 
 
 def test_scan_order_does_not_change_rows():

@@ -142,11 +142,13 @@ def test_reported_error_covers_truncation_change(monkeypatch):
 
 def test_refinement_discrepancies_do_not_grow(monkeypatch):
     # successive tolerance tightenings reach the roundoff floor, so allow
-    # an absolute cushion instead of demanding strict decrease
+    # an absolute cushion instead of demanding strict decrease.  Near the
+    # pole image at small beta the graded start is not yet final at
+    # 1e-8, so the first tightening refines.
     values = []
-    for r in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+    for r in (1e-8, 1e-10, 1e-12):
         monkeypatch.setattr(quadrature, "REL_TOL", r)
-        values.append(quad(2.0, 3.0)[0][0])
+        values.append(quad(0.01, 0.3)[0][0])
     d = [abs(b - a) for a, b in zip(values, values[1:])]
     assert d[0] > 0.0
     for coarse, fine in zip(d, d[1:]):

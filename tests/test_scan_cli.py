@@ -10,6 +10,8 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -239,6 +241,19 @@ class TestScanCommand:
                       time_grid(ns.tau_min, ns.tau_max, ns.points, ns.grid),
                       method=ns.method, terms=ns.terms)
         assert res.stderr.splitlines()[-1].endswith(str(refusal.value))
+
+    def test_reader_closing_the_pipe_exits_141_quietly(self):
+        # the reader takes one line and closes the pipe, as `| head -1`
+        # does; 10,000 rows are 1.3 MB, far more than a pipe buffers
+        argv = [sys.executable, "-m", "bwdecay", "scan", "--beta", "2", "--points", "10000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read()
+        assert first.startswith(b"# bwdecay scan beta=2 ")
+        assert code == 141
+        assert err == b""
 
     def test_phase_overflow_exits_3(self, run_cli):
         res = run_cli("scan", "--beta", "1e300", "--tau-min", "1e300",

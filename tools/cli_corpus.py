@@ -4,7 +4,8 @@ Runs about a hundred argument lists through ``bwdecay.cli.main`` in one
 process and writes, for each, its stdout, stderr and exit code to a JSON
 file.  The list covers ``info``, ``crossover`` at every order, and the
 exact, asymptotic and quadrature scans in CSV and JSON over a spread of
-beta, two scans of 8,193 rows, and the usage and numerical error paths.
+beta, quadrature scans at beta = 0.001, 1e8 and 1e153, two scans of
+8,193 rows, and the usage and numerical error paths.
 Two trees that print the same bytes give the same file, so a refactor
 that should change no output is checked with
 
@@ -38,7 +39,17 @@ SCANS = (
      "--points", "25"),
     ("--method", "quadrature", "--tau-min", "0.01", "--tau-max", "60",
      "--points", "9"),
+    ("--method", "quadrature", "--grid", "linear", "--tau-min", "0", "--tau-max", "10",
+     "--points", "11"),
 )
+
+# quadrature scans through the other branches of the rule's graded start:
+# many halvings toward the pole image at small beta and tau, and no decay
+# points where beta is huge
+ORACLE_SCANS = tuple(
+    ("scan", "--beta", beta, "--method", "quadrature", "--tau-min", lo, "--tau-max", "1e4",
+     "--points", "25", "--output", "csv")
+    for beta, lo in (("0.001", "1e-6"), ("1e8", "0.01"), ("1e153", "0.01")))
 
 # exact scans long enough that the CLI evaluates and renders them in
 # three slices, the last one row long
@@ -87,7 +98,7 @@ def corpus() -> list:
         for scan in SCANS:
             for output in ("csv", "json"):
                 calls.append(("scan", *model, *scan, "--output", output))
-    return calls + list(LONG_SCANS) + list(ERRORS)
+    return calls + list(ORACLE_SCANS) + list(LONG_SCANS) + list(ERRORS)
 
 
 def run(argv) -> dict:
