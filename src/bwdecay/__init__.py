@@ -14,10 +14,8 @@ _EXPORTS = {
     "AsymptoticRangeWarning": "asymptotics",
     "BracketError": "errors",
     "BreitWignerModel": "model",
-    "ConvergenceError": "errors",
     "CrossoverResult": "crossover",
     "DomainError": "errors",
-    "EULER_GAMMA": "special",
     "EffectiveHamiltonianValue": "survival",
     "NearZeroAmplitude": "errors",
     "ScanRow": "scan",
@@ -25,24 +23,18 @@ _EXPORTS = {
     "amplitude": "survival",
     "amplitude_by_quadrature": "quadrature",
     "amplitude_late": "asymptotics",
-    "chi": "survival",
-    "chi_derivative": "survival",
     "crossover_time": "crossover",
     "decay_rate_late": "asymptotics",
     "effective_hamiltonian": "survival",
-    "effective_hamiltonian_brace": "survival",
     "energy_late": "asymptotics",
-    "exp_integral_e1": "special",
     "exp_integral_e1_scaled": "special",
     "i_beta": "survival",
     "i_beta_at_zero": "survival",
     "i_brace_coefficients": "asymptotics",
     "i_by_quadrature": "quadrature",
-    "i_series": "asymptotics",
     "j_beta": "survival",
     "j_brace_coefficients": "asymptotics",
     "j_by_quadrature": "quadrature",
-    "j_series": "asymptotics",
     "kappa": "survival",
     "ratio_coefficients": "asymptotics",
     "ratio_series": "asymptotics",

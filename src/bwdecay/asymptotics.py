@@ -35,12 +35,13 @@ import functools
 import math
 import warnings
 
-from .model import BreitWignerModel, _phase, check_beta, check_int, check_tau
+from .model import BreitWignerModel, check_beta, check_int, check_tau
 
 _TWO_PI = 2.0 * math.pi
 
-# Terms retained: all five coefficients of each table by the I, J and
-# ratio series, the first four of the I brace by the late-time amplitude.
+# Terms retained: five coefficients per table, all five of the ratio's by
+# the ratio and energy series, the first four of the I brace by the
+# late-time amplitude.
 SERIES_TERMS = 5
 AMPLITUDE_TERMS = 4
 
@@ -113,18 +114,6 @@ def _series(coefficients, beta: float, tau: float, order: int, top: int,
                 stacklevel=3,
             )
     return acc
-
-
-def i_series(beta: float, tau: float, order: int) -> complex:
-    """Late-time I(tau) truncated to ``order`` terms (1..5)."""
-    brace = _series(i_brace_coefficients, beta, tau, order, SERIES_TERMS, "I_SERIES")
-    return 1j / tau * _phase(beta, tau) / (beta * beta + 0.25) * brace
-
-
-def j_series(beta: float, tau: float, order: int) -> complex:
-    """Late-time J(tau) truncated to ``order`` terms (1..5)."""
-    brace = _series(j_brace_coefficients, beta, tau, order, SERIES_TERMS, "J_SERIES")
-    return 1j / tau * _phase(beta, tau) / (beta * beta + 0.25) * brace
 
 
 def ratio_series(beta: float, tau: float, order: int) -> complex:

@@ -5,14 +5,6 @@ class DomainError(ValueError):
     """Argument lies outside the mathematical domain of the requested quantity."""
 
 
-class ConvergenceError(ArithmeticError):
-    """An iterative scheme exhausted its budget before reaching tolerance.
-
-    Kept as part of the public surface; no route of the package raises it
-    any more, since every E1 kernel runs a length fixed before its loop.
-    """
-
-
 class ToleranceNotMet(ArithmeticError):
     """Adaptive quadrature could not certify the requested error.
 

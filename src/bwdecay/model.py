@@ -172,5 +172,7 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
         check_real("e", e)
         if e < self.emin:
             return 0.0
-        lor = self.gamma0 / ((e - self.e0) ** 2 + 0.25 * self.gamma0 ** 2)
-        return self.normalization() / (2.0 * math.pi) * lor
+        # gamma0 / r**2 with r = |e - e0 + i gamma0/2|, divided by r twice
+        # so that no square over- or underflows at any width
+        r = math.hypot(e - self.e0, 0.5 * self.gamma0)
+        return self.normalization() / (2.0 * math.pi) * (self.gamma0 / r) / r

@@ -1,26 +1,20 @@
-"""Complex exponential integral E1 on the principal branch.
+"""Scaled complex exponential integral G(z) = exp(z)*E1(z), principal branch.
 
-Public, validated surface over the kernels in ``_kernels_py``.
-Everything the rest of the package needs from special-function land is
-here: the overflow-safe scaled G(z) = exp(z)*E1(z), and E1 itself as
-exp(-z)*G(z).
+Public, validated surface over the kernels in ``_kernels_py``.  G is all
+the rest of the package needs from special-function land: it stays
+finite where exp(-z) or E1 alone would overflow, and E1 itself is
+exp(-z)*G(z) wherever that product is representable.
 
-Both functions satisfy Schwarz reflection, E1(conj z) = conj E1(z),
-because every constant in the underlying kernels is real.
+G satisfies Schwarz reflection, G(conj z) = conj G(z), because every
+constant in the underlying kernels is real.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from . import _kernels_py as kernels
 from .errors import DomainError
-
-EULER_GAMMA = kernels.EULER_GAMMA
-
-# exp(-z) exceeds double range once Re z < -709.78; stay clear of it.
-_UNSCALED_LIMIT = -700.0
 
 
 def _checked(z) -> complex:
@@ -36,44 +30,26 @@ def _checked(z) -> complex:
     return w
 
 
-def exp_integral_e1(z) -> complex:
-    """Exponential integral E1(z), principal branch.
+def exp_integral_e1_scaled(z) -> complex:
+    """Scaled exponential integral G(z) = exp(z)*E1(z).
 
     Parameters
     ----------
     z : complex
-        Argument; must be nonzero and off the negative real axis.
+        Argument; must be nonzero, finite and off the negative real axis.
 
     Returns
     -------
     complex
-        E1(z) = integral of exp(-u)/u over the ray from z to +infinity,
-        relative error <= 1e-12 at every argument off the cut, however
-        close to it.
+        G(z), where E1(z) is the integral of exp(-u)/u over the ray from
+        z to +infinity; relative error <= 1e-12 at every argument off the
+        cut, however close to it.  Finite for arbitrarily large |Re z|
+        (G(z) ~ 1/z as |z| grows), which is what makes products like
+        exp(tau)*E1(z(tau)) computable at large tau.
 
     Raises
     ------
     DomainError
         If ``z`` is zero, non-finite, or on the branch cut.
-    OverflowError
-        If Re z < -700, where the exp(-z) factor exceeds double range;
-        use :func:`exp_integral_e1_scaled` there.
-    """
-    w = _checked(z)
-    if w.real < _UNSCALED_LIMIT:
-        raise OverflowError(
-            "exp(-z)*[exp(z) E1(z)] overflows double range at z = {!r}; "
-            "call exp_integral_e1_scaled instead".format(w)
-        )
-    return cmath.exp(-w) * kernels.e1_scaled(w)
-
-
-def exp_integral_e1_scaled(z) -> complex:
-    """Scaled exponential integral G(z) = exp(z)*E1(z).
-
-    Finite for arbitrarily large |Re z| (G(z) ~ 1/z as |z| grows), which
-    is what makes products like exp(tau)*E1(z(tau)) computable at large
-    tau.  Same domain and error behavior as :func:`exp_integral_e1`,
-    minus the overflow case.
     """
     return kernels.e1_scaled(_checked(z))

@@ -20,7 +20,9 @@ separately and summed last:
 
 The first term underflows harmlessly to zero near tau ~ 1400 while the
 second keeps full relative accuracy, so the late-time power law is
-computed far beyond the exponential underflow point.
+computed far beyond the exponential underflow point.  One G pair per
+point serves I, J, the amplitude and the effective Hamiltonian; no
+other combination of E1 values is formed.
 
 Phase convention: the amplitude returned here is (N/2pi) exp(-i beta
 tau) I(tau); the remaining global phase exp(-i Emin t / hbar) is
@@ -115,14 +117,6 @@ class EffectiveHamiltonianValue(namedtuple("EffectiveHamiltonianValue",
         return complex(self.energy, -0.5 * self.rate)
 
 
-def _g_pair(beta: float, tau: float) -> tuple[complex, complex]:
-    # G at the two pole images; z+ sits in the fourth quadrant, z- in
-    # the third, both a fixed angle arctan(2 beta) away from the cut.
-    g_plus = exp_integral_e1_scaled(complex(0.5 * tau, -beta * tau))
-    g_minus = exp_integral_e1_scaled(complex(-0.5 * tau, -beta * tau))
-    return g_plus, g_minus
-
-
 # A scan row evaluates survival_probability and then
 # effective_hamiltonian at one point; the memo lets both share one G pair
 # while each keeps its own call (and benchmark span).
@@ -134,7 +128,10 @@ def _pieces(beta: float,
     # -i pi e^{-tau/2}, and the power tails; I = i_pole + i_tail and
     # J = j_pole + j_tail.
     phase = _phase(beta, tau)
-    g_plus, g_minus = _g_pair(beta, tau)
+    # G at the two pole images; z+ sits in the fourth quadrant, z- in
+    # the third, both a fixed angle arctan(2 beta) away from the cut
+    g_plus = exp_integral_e1_scaled(complex(0.5 * tau, -beta * tau))
+    g_minus = exp_integral_e1_scaled(complex(-0.5 * tau, -beta * tau))
     decay = math.exp(-0.5 * tau)
     return (phase, _TWO_PI * decay, 1j * phase * (g_minus - g_plus),
             -1j * math.pi * decay, 0.5 * phase * (g_plus + g_minus))
@@ -195,31 +192,6 @@ def j_beta(beta: float, tau: float) -> complex:
     check_tau(tau, hint=" (J diverges logarithmically at tau = 0)")
     _, _, _, j_pole, j_tail = _pieces(beta, tau)
     return j_pole + j_tail
-
-
-def chi(beta: float, tau: float) -> complex:
-    """Non-exponentiality witness exp(tau) E1(z+) - E1(z-).
-
-    The amplitude is exactly canonical (pure exponential decay) at a
-    given tau only where this vanishes; its non-constancy on every
-    interval is what rules out a finite exponential window.  Grows like
-    exp(tau/2)/tau at late times, so a genuine OverflowError occurs past
-    tau ~ 1400.
-    """
-    check_beta(beta)
-    check_tau(tau)
-    phase = _phase(beta, tau)
-    g_plus, g_minus = _g_pair(beta, tau)
-    return math.exp(0.5 * tau) * phase * (g_plus - g_minus)
-
-
-def chi_derivative(beta: float, tau: float) -> complex:
-    """d chi / d tau = exp(tau) E1(z+), nonzero except at isolated tau."""
-    check_beta(beta)
-    check_tau(tau)
-    phase = _phase(beta, tau)
-    g_plus = exp_integral_e1_scaled(complex(0.5 * tau, -beta * tau))
-    return math.exp(0.5 * tau) * phase * g_plus
 
 
 def amplitude(model: BreitWignerModel, tau: float) -> AmplitudeValue:
@@ -293,33 +265,6 @@ def effective_hamiltonian(model: BreitWignerModel,
             "this deep into underflow".format(tau, abs(i_val))
         )
     energy, rate = energy_and_rate(beta, (j_pole + j_tail) / i_val)
-    return EffectiveHamiltonianValue(energy, rate, float(tau))
-
-
-def effective_hamiltonian_brace(model: BreitWignerModel,
-                                tau: float) -> EffectiveHamiltonianValue:
-    """The same h(tau) as :func:`effective_hamiltonian`, by another algebra.
-
-    Evaluates J/I from the unscaled brace combination exp(tau) E1(z+)
-    +/- E1(z-), so it overflows past tau ~ 1419.  It is a reference
-    that catches algebra or implementation errors in the scaled path,
-    not a production path.
-    """
-    beta = model.beta
-    check_tau(tau, hint=" (the mean energy diverges at t = 0)")
-    phase = _phase(beta, tau)
-    g_plus, g_minus = _g_pair(beta, tau)
-    grow = math.exp(0.5 * tau) * phase
-    s_plus = grow * g_plus
-    s_minus = grow * g_minus
-    coef = 1j / _TWO_PI
-    numer = 1.0 + coef * (s_plus + s_minus)
-    denom = 1.0 - coef * (s_plus - s_minus)
-    if abs(denom) < _NEAR_ZERO:
-        raise NearZeroAmplitude(
-            "brace denominator vanished at tau = {}".format(tau)
-        )
-    energy, rate = energy_and_rate(beta, -0.5j * (numer / denom))
     return EffectiveHamiltonianValue(energy, rate, float(tau))
 
 

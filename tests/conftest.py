@@ -1,7 +1,11 @@
+import math
 import subprocess
 import sys
 
 import pytest
+
+from bwdecay import asymptotics, survival
+from bwdecay.model import _phase, check_beta, check_tau
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +52,72 @@ def legacy_ratio_coefficients(beta):
         poly3 / (4.0 * d ** 3),
         poly4 / (4.0 * d ** 4),
     )
+
+
+# -- references: the same quantities by other algebra, for cross-checks ----
+
+def _brace_pair(beta, tau):
+    # (exp(tau) E1(z+), E1(z-)) at z+- = +-tau/2 - i beta tau, each the
+    # product exp(tau/2) exp(i beta tau) G(z+-), with G taken through
+    # survival's module global so that a test patching it sees these
+    # calls too; exp(tau/2) overflows past tau ~ 1419
+    grow = _phase(beta, tau)  # refuses an overflowing beta * tau first
+    grow *= math.exp(0.5 * tau)
+    return (grow * survival.exp_integral_e1_scaled(complex(0.5 * tau, -beta * tau)),
+            grow * survival.exp_integral_e1_scaled(complex(-0.5 * tau, -beta * tau)))
+
+
+def chi(beta, tau):
+    """Non-exponentiality witness exp(tau) E1(z+) - E1(z-).
+
+    The amplitude is exactly canonical at a given tau only where this
+    vanishes; its non-constancy on every interval is what rules out a
+    finite exponential window (acceptance c10).
+    """
+    check_beta(beta)
+    check_tau(tau)
+    s_plus, s_minus = _brace_pair(beta, tau)
+    return s_plus - s_minus
+
+
+def chi_derivative(beta, tau):
+    """d chi / d tau = exp(tau) E1(z+), nonzero except at isolated tau."""
+    check_beta(beta)
+    check_tau(tau)
+    return _brace_pair(beta, tau)[0]
+
+
+def effective_hamiltonian_brace(model, tau):
+    """The h(tau) of ``effective_hamiltonian``, by the unscaled brace algebra.
+
+    J/I from the witness's two terms exp(tau) E1(z+) and E1(z-): catches
+    algebra errors in the scaled closed forms (acceptance c04).
+    """
+    check_tau(tau, hint=" (the mean energy diverges at t = 0)")
+    s_plus, s_minus = _brace_pair(model.beta, tau)
+    coef = 1j / (2.0 * math.pi)
+    numer = 1.0 + coef * (s_plus + s_minus)
+    denom = 1.0 - coef * (s_plus - s_minus)
+    energy, rate = survival.energy_and_rate(model.beta, -0.5j * (numer / denom))
+    return survival.EffectiveHamiltonianValue(energy, rate, float(tau))
+
+
+def _late_integral(beta, tau, brace):
+    # x e^{i beta tau}/D times a brace series summed at x = i/tau
+    return 1j / tau * _phase(beta, tau) / (beta * beta + 0.25) * brace
+
+
+# Each calls the package's series core itself, which validates and warns
+# at the caller of i_series or j_series.
+def i_series(beta, tau, order):
+    """Late-time I(tau) truncated to ``order`` terms (1..5)."""
+    return _late_integral(beta, tau, asymptotics._series(
+        asymptotics.i_brace_coefficients, beta, tau, order,
+        asymptotics.SERIES_TERMS, "I_SERIES"))
+
+
+def j_series(beta, tau, order):
+    """Late-time J(tau) truncated to ``order`` terms (1..5)."""
+    return _late_integral(beta, tau, asymptotics._series(
+        asymptotics.j_brace_coefficients, beta, tau, order,
+        asymptotics.SERIES_TERMS, "J_SERIES"))

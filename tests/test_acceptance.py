@@ -24,16 +24,18 @@ from bwdecay.quadrature import amplitude_by_quadrature
 from bwdecay.scan import time_grid
 from bwdecay.survival import (
     amplitude,
-    chi,
-    chi_derivative,
     effective_hamiltonian,
-    effective_hamiltonian_brace,
     i_beta,
     j_beta,
     kappa,
 )
 
-from conftest import legacy_ratio_coefficients
+from conftest import (
+    chi,
+    chi_derivative,
+    effective_hamiltonian_brace,
+    legacy_ratio_coefficients,
+)
 
 BETAS = (0.5, 2.0, 10.0, 100.0)
 

@@ -14,9 +14,7 @@ from bwdecay.asymptotics import (
     decay_rate_late,
     energy_late,
     i_brace_coefficients,
-    i_series,
     j_brace_coefficients,
-    j_series,
     ratio_coefficients,
     ratio_series,
 )
@@ -26,7 +24,7 @@ from bwdecay.model import BreitWignerModel
 from bwdecay.scan import scan_rows
 from bwdecay.survival import amplitude, effective_hamiltonian, i_beta, j_beta
 
-from conftest import legacy_ratio_coefficients
+from conftest import i_series, j_series, legacy_ratio_coefficients
 
 
 def _rel(a, b):

@@ -22,8 +22,9 @@ from bwdecay.scan import scan_rows, time_grid
 _TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "perfbench", "tracing.py")
 
-# one run per route; the exact scan crosses SERIES_RADIUS (|z| ~ 10 tau
-# at beta = 10), so both E1 kernels run
+# one run per route; the six points of the exact scan reach all three E1
+# kernels at beta = 10: the series at tau <= 0.28, the continued fraction
+# at tau ~ 1.45 and the asymptotic sum at tau >= 7.6
 RUNS = [
     ["scan", "--beta", "10", "--tau-min", "0.01", "--tau-max", "40", "--points", "6"],
     ["scan", "--beta", "10", "--method", "asymptotic", "--tau-min", "40",

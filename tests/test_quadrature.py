@@ -17,7 +17,8 @@ from bwdecay.quadrature import (
 )
 from bwdecay.scan import scan_rows
 from bwdecay.survival import amplitude, i_beta, i_beta_at_zero, j_beta
-from bwdecay.asymptotics import i_series, j_series
+
+from conftest import i_series, j_series
 
 
 def _rel(a, b):

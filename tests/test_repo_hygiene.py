@@ -156,15 +156,12 @@ def test_import_graph_is_layered():
 # the public surface, pinned: adding or dropping a name is an API change
 _PUBLIC_NAMES = """
     AmplitudeValue AsymptoticRangeWarning BracketError BreitWignerModel
-    ConvergenceError CrossoverResult DomainError EULER_GAMMA
-    EffectiveHamiltonianValue NearZeroAmplitude ScanRow ToleranceNotMet
-    amplitude amplitude_by_quadrature amplitude_late chi chi_derivative
-    crossover_time decay_rate_late effective_hamiltonian
-    effective_hamiltonian_brace energy_late exp_integral_e1
+    CrossoverResult DomainError EffectiveHamiltonianValue NearZeroAmplitude
+    ScanRow ToleranceNotMet amplitude amplitude_by_quadrature amplitude_late
+    crossover_time decay_rate_late effective_hamiltonian energy_late
     exp_integral_e1_scaled i_beta i_beta_at_zero i_brace_coefficients
-    i_by_quadrature i_series j_beta j_brace_coefficients j_by_quadrature
-    j_series kappa ratio_coefficients ratio_series scan_rows
-    survival_probability time_grid
+    i_by_quadrature j_beta j_brace_coefficients j_by_quadrature kappa
+    ratio_coefficients ratio_series scan_rows survival_probability time_grid
 """.split()
 
 

@@ -620,6 +620,18 @@ class TestInfoCommand:
         assert rec["peak_density"] == pytest.approx(
             rec["normalization"] * 4.0 / (2.0 * math.pi), rel=1e-12)
 
+    @pytest.mark.parametrize("gamma0", [1e-300, 1e-170, 1.0, 1e200, 1e300])
+    def test_peak_density_at_any_width(self, gamma0):
+        # gamma0**2 alone under- or overflows at every width here but 1;
+        # the peak 2 N/(pi gamma0) is finite at all of them
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["info", "--beta", "2", "--gamma0", repr(gamma0)])
+        assert (code, err.getvalue()) == (0, "")
+        rec = json.loads(out.getvalue())
+        expected = 2.0 * rec["normalization"] / (math.pi * gamma0)
+        assert rec["peak_density"] == pytest.approx(expected, rel=1e-15)
+
     def test_csv_variant(self, run_cli):
         res = run_cli("info", "--beta", "2", "--output", "csv")
         head, values = res.stdout.strip().splitlines()

@@ -1,6 +1,7 @@
-"""Complex exponential integral: frozen references, an integral
-representation oracle, the three kernels and their seams against 50-digit
-mpmath from |z| = 1e-3 to 1e11, and the documented failure modes."""
+"""Scaled exponential integral G(z) = exp(z) E1(z): frozen references, an
+integral representation oracle, the three kernels and their seams against
+50-digit mpmath from |z| = 1e-3 to 1e11, and the documented failure modes.
+Where a reference gives E1, G is held to exp(z) E1(z)."""
 
 import cmath
 import math
@@ -13,7 +14,7 @@ import scipy.special
 
 from bwdecay import _kernels_py
 from bwdecay.errors import DomainError
-from bwdecay.special import EULER_GAMMA, exp_integral_e1, exp_integral_e1_scaled
+from bwdecay.special import exp_integral_e1_scaled
 
 
 # frozen from mpmath.e1 at 50 significant digits
@@ -30,8 +31,17 @@ FROZEN_SCALED = [
 ]
 
 
+# Euler's constant, frozen from mpmath.euler
+EULER_GAMMA = 0.57721566490153286
+
+
 def _rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def _e1(z):
+    # E1 = exp(-z) G, where exp(-z) is finite
+    return cmath.exp(-z) * exp_integral_e1_scaled(z)
 
 
 def _mp_e1(z):
@@ -49,7 +59,7 @@ def _mp_e1_scaled(z):
 
 @pytest.mark.parametrize("z,expected", FROZEN_E1)
 def test_frozen_values(z, expected):
-    assert _rel(exp_integral_e1(z), expected) < 1e-13
+    assert _rel(exp_integral_e1_scaled(z), cmath.exp(z) * expected) < 1e-13
 
 
 @pytest.mark.parametrize("z,expected", FROZEN_SCALED)
@@ -60,7 +70,7 @@ def test_frozen_scaled_values(z, expected):
 @pytest.mark.parametrize("z", [2.0 + 0.0j, 1.0 - 3.0j, -2.0 + 5.0j, 0.3 + 0.1j])
 def test_scaled_consistent_with_unscaled(z):
     # only meaningful where exp(z) neither overflows nor underflows
-    assert _rel(exp_integral_e1_scaled(z), cmath.exp(z) * exp_integral_e1(z)) < 1e-13
+    assert _rel(exp_integral_e1_scaled(z), cmath.exp(z) * _mp_e1(z)) < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -70,16 +80,11 @@ def test_scaled_consistent_with_unscaled(z):
 )
 def test_rejects_cut_zero_and_nonfinite(z):
     with pytest.raises(DomainError):
-        exp_integral_e1(z)
-    with pytest.raises(DomainError):
         exp_integral_e1_scaled(z)
 
 
-def test_unscaled_overflows_deep_left_half_plane():
-    # e^{-z} alone exceeds the double range; the scaled form is the
-    # supported route there and must stay finite
-    with pytest.raises(OverflowError):
-        exp_integral_e1(complex(-800.0, 1.0))
+def test_scaled_stays_finite_deep_in_left_half_plane():
+    # e^{-z} alone exceeds the double range there, and so does E1
     v = exp_integral_e1_scaled(complex(-800.0, 1.0))
     assert cmath.isfinite(v)
 
@@ -87,7 +92,6 @@ def test_unscaled_overflows_deep_left_half_plane():
 def test_near_cut_matches_mpmath():
     # hugging the negative real axis past |z| = 4, where the series serves
     z = complex(-5.0, -0.1)
-    assert _rel(exp_integral_e1(z), _mp_e1(z)) < 1e-14
     assert _rel(exp_integral_e1_scaled(z), _mp_e1_scaled(z)) < 1e-14
 
 
@@ -120,7 +124,7 @@ def test_small_argument_logarithmic_form(r, theta):
     # E1(z) = -gamma - ln z + z - ... so the remainder after removing
     # the log is bounded by |z| (coefficient 1) plus smaller terms
     z = r * cmath.exp(1j * theta)
-    assert abs(exp_integral_e1(z) + EULER_GAMMA + cmath.log(z)) <= 2.0 * abs(z)
+    assert abs(_e1(z) + EULER_GAMMA + cmath.log(z)) <= 2.0 * abs(z)
 
 
 @pytest.mark.parametrize(
@@ -129,7 +133,7 @@ def test_small_argument_logarithmic_form(r, theta):
 def test_derivative_matches_exponential_kernel(z):
     # d/dz E1(z) = -exp(-z)/z, checked by central differences
     h = 1e-6 * max(1.0, abs(z))
-    fd = (exp_integral_e1(z + h) - exp_integral_e1(z - h)) / (2.0 * h)
+    fd = (_e1(z + h) - _e1(z - h)) / (2.0 * h)
     assert _rel(fd, -cmath.exp(-z) / z) < 1e-6
 
 
@@ -148,9 +152,9 @@ def _representation_points():
 
 @pytest.mark.parametrize("z", _representation_points())
 def test_integral_representation_oracle(z):
-    # E1(z) = e^{-z} * int_0^inf e^{-s}/(z+s) ds, evaluated with the
-    # generic adaptive rule, no shared code with the implementation
-    value = exp_integral_e1(z)
+    # G(z) = int_0^inf e^{-s}/(z+s) ds, evaluated with the generic
+    # adaptive rule, no shared code with the implementation
+    value = exp_integral_e1_scaled(z)
 
     def re_part(s):
         w = z + s
@@ -163,7 +167,7 @@ def test_integral_representation_oracle(z):
     kw = dict(epsabs=1e-15, epsrel=1e-12, limit=400)
     re_val = quad(re_part, 0.0, 60.0, **kw)[0]
     im_val = quad(im_part, 0.0, 60.0, **kw)[0]
-    oracle = cmath.exp(-z) * complex(re_val, im_val)
+    oracle = complex(re_val, im_val)
     assert _rel(value, oracle) < 1e-10
 
 
@@ -171,7 +175,7 @@ def test_integral_representation_oracle(z):
 def test_matches_scipy_reference(z):
     # scipy.special.exp1 is an independent implementation (no scaled
     # variant, which is why it cannot replace this module)
-    assert _rel(exp_integral_e1(z), scipy.special.exp1(z)) < 5e-12
+    assert _rel(exp_integral_e1_scaled(z), cmath.exp(z) * scipy.special.exp1(z)) < 5e-12
 
 
 @given(
@@ -181,8 +185,8 @@ def test_matches_scipy_reference(z):
 @settings(max_examples=200, deadline=None)
 def test_conjugate_reflection(re, im):
     z = complex(re, im)
-    upper = exp_integral_e1(z)
-    lower = exp_integral_e1(z.conjugate())
+    upper = exp_integral_e1_scaled(z)
+    lower = exp_integral_e1_scaled(z.conjugate())
     assert lower == pytest.approx(upper.conjugate(), rel=5e-14)
 
 
@@ -211,9 +215,7 @@ def test_small_disk_against_mpmath():
     # the fraction 5e-14 on the rest of the disk
     worst = {True: 0.0, False: 0.0}
     for z in _small_disk_points():
-        expected = _mp_e1(z)
-        err = max(_rel(exp_integral_e1(z), expected),
-                  _rel(cmath.exp(-z) * exp_integral_e1_scaled(z), expected))
+        err = _rel(exp_integral_e1_scaled(z), _mp_e1_scaled(z))
         series = _in_series_region(z)
         worst[series] = max(worst[series], err)
     assert worst[True] < 1e-14, worst

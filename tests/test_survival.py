@@ -1,4 +1,5 @@
-"""Exact closed-form path: amplitude, effective Hamiltonian, witness."""
+"""Exact closed-form path: amplitude and effective Hamiltonian, and the
+witness and brace references of tests/conftest.py held to it."""
 
 import cmath
 import math
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwdecay import survival
-from bwdecay.asymptotics import i_series, j_series
 from bwdecay.errors import DomainError, NearZeroAmplitude
 from bwdecay.model import BreitWignerModel
 from bwdecay.quadrature import amplitude_by_quadrature
@@ -17,15 +17,20 @@ from bwdecay.survival import (
     AmplitudeValue,
     EffectiveHamiltonianValue,
     amplitude,
-    chi,
-    chi_derivative,
     effective_hamiltonian,
-    effective_hamiltonian_brace,
     i_beta,
     i_beta_at_zero,
     j_beta,
     kappa,
     survival_probability,
+)
+
+from conftest import (
+    chi,
+    chi_derivative,
+    effective_hamiltonian_brace,
+    i_series,
+    j_series,
 )
 
 TWO_PI = 2.0 * math.pi

@@ -5,7 +5,9 @@ process and writes, for each, its stdout, stderr and exit code to a JSON
 file.  The list covers ``info``, ``crossover`` at every order, and the
 exact, asymptotic and quadrature scans in CSV and JSON over a spread of
 beta, quadrature scans at beta = 0.001, 1e8 and 1e153, two scans of
-8,193 rows, and the usage and numerical error paths.
+8,193 rows, ``info`` and ``crossover`` in physical units, and the usage
+and numerical error paths.  An uncaught exception is recorded as exit 1,
+with its type and message on stderr, and the corpus goes on.
 Two trees that print the same bytes give the same file, so a refactor
 that should change no output is checked with
 
@@ -58,6 +60,21 @@ LONG_SCANS = (
     ("scan", "--beta", "2", "--points", "8193", "--output", "json"),
 )
 
+# models in physical units, widths 1e-170 and 1e200 among them, where
+# gamma0**2 alone under- or overflows
+UNITS = (
+    ("--e0", "5", "--emin", "1", "--gamma0", "2", "--hbar", "0.6582119569"),
+    ("--e0", "-1", "--emin", "-3.5", "--gamma0", "0.25", "--hbar", "6.582e-16"),
+    ("--e0", "3e-170", "--emin", "1e-170", "--gamma0", "1e-170"),
+    ("--beta", "2", "--gamma0", "1e-170"),
+    ("--beta", "2", "--gamma0", "1e200", "--hbar", "1e-3"),
+    ("--beta", "10", "--emin", "4", "--gamma0", "1e200"),
+)
+UNIT_CALLS = tuple(
+    call for model in UNITS
+    for call in (("info", *model), ("info", *model, "--output", "csv"),
+                 ("crossover", *model), ("crossover", *model, "--terms", "4")))
+
 ERRORS = (
     # usage errors, exit 2
     ("scan",),
@@ -98,7 +115,8 @@ def corpus() -> list:
         for scan in SCANS:
             for output in ("csv", "json"):
                 calls.append(("scan", *model, *scan, "--output", output))
-    return calls + list(ORACLE_SCANS) + list(LONG_SCANS) + list(ERRORS)
+    return (calls + list(ORACLE_SCANS) + list(LONG_SCANS) + list(UNIT_CALLS)
+            + list(ERRORS))
 
 
 def run(argv) -> dict:
@@ -109,6 +127,9 @@ def run(argv) -> dict:
             code = cli.main(list(argv))
         except SystemExit as exc:  # argparse reports usage errors so
             code = exc.code
+        except Exception as exc:  # a traceback, as the interpreter's exit 1
+            print("{}: {}".format(type(exc).__name__, exc), file=sys.stderr)
+            code = 1
     return {"argv": list(argv), "exit": code,
             "stdout": out.getvalue().split("\n"),
             "stderr": err.getvalue().split("\n")}
