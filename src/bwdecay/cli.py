@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -34,6 +35,7 @@ _CONFIG_KEYS = ("beta", "e0", "gamma0", "emin", "hbar")
 _MODEL_DEFAULTS = {"gamma0": 1.0, "emin": 0.0, "hbar": 1.0}
 _INF = float("inf")
 _CHUNK = 4096  # grid points a scan evaluates and renders at a time
+_BLOCK = 1 << 13  # characters a scan reads back from its spool at a time
 _EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, how a shell reports a writer ended by it
 
 
@@ -150,38 +152,11 @@ def _write_text(parts, args) -> None:
 
 
 def _cmd_scan(args, model: BreitWignerModel) -> int:
+    import tempfile  # only a scan spools; info and crossover never load it
+
     # time_grid and scan_rows validate every argument; main maps their
     # DomainError to a usage error
     taus = time_grid(args.tau_min, args.tau_max, args.points, args.grid)
-    csv = args.output == "csv"
-    # Rows are evaluated and rendered _CHUNK at a time, and only the
-    # rendered text is kept, so a scan holds its output once.  Nothing
-    # is written until every row has succeeded.
-    body = []
-    flagged = 0
-    for i in range(0, len(taus), _CHUNK):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", AsymptoticRangeWarning)
-            rows = scan_rows(model, taus[i:i + _CHUNK], method=args.method,
-                             terms=args.terms)
-        flagged += sum(1 for w in caught
-                       if issubclass(w.category, AsymptoticRangeWarning))
-        if csv:
-            # the tau = 0 row has empty Hamiltonian fields
-            body.append("".join([
-                _CSV_ROW.format(*r) if r.kappa is not None else
-                ",".join([_fmt(v) for v in r[:-1]] + [r.method]) + "\n"
-                for r in rows]))
-        else:
-            if i:
-                body.append(",\n")
-            body.append(_json_rows(rows, args.method))
-    if flagged:
-        print(
-            "note: {} series evaluations were outside the asymptotic "
-            "series' reliable region".format(flagged),
-            file=sys.stderr,
-        )
     meta = None if args.no_meta else {
         "beta": model.beta,
         "method": args.method,
@@ -192,18 +167,71 @@ def _cmd_scan(args, model: BreitWignerModel) -> int:
         "terms": args.terms,
         "version": __version__,
     }
-    if csv:
+    if args.output == "csv":
         head = "" if meta is None else "# bwdecay scan " + " ".join(
             "{}={}".format(k, v if isinstance(v, str) else _fmt(v))
             for k, v in meta.items()) + "\n"
-        _write_text([head + ",".join(ScanRow._fields) + "\n", *body], args)
+        head, tail = head + ",".join(ScanRow._fields) + "\n", ""
     else:
         # the bytes json.dumps(..., indent=2) gives for {"meta": meta,
         # "rows": [row._asdict(), ...]}, without its pure-Python encoder
         head = "{\n" if meta is None else '{{\n  "meta": {},\n'.format(
             json.dumps(meta, indent=2).replace("\n", "\n  "))
-        _write_text([head + '  "rows": [\n', *body, "\n  ]\n}\n"], args)
+        head, tail = head + '  "rows": [\n', "\n  ]\n}\n"
+    # Rows are evaluated and rendered _CHUNK at a time into the spool, an
+    # anonymous file, so a scan holds one slice of rows and text however
+    # long it is.  Nothing is written until every row has succeeded.
+    try:
+        spool = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+    except OSError as exc:
+        _spool_failed(args, exc, tempfile.tempdir)
+    with spool:
+        try:
+            flagged = _spool_rows(spool, args, model, taus)
+        except OSError as exc:  # such as a full disk
+            _spool_failed(args, exc, tempfile.tempdir)
+        if flagged:
+            print(
+                "note: {} series evaluations were outside the asymptotic "
+                "series' reliable region".format(flagged),
+                file=sys.stderr,
+            )
+        # read back a block at a time, so the text is never whole in memory
+        spool.seek(0)
+        blocks = iter(functools.partial(spool.read, _BLOCK), "")
+        _write_text(itertools.chain((head,), blocks, (tail,)), args)
     return 0
+
+
+def _spool_rows(spool, args, model: BreitWignerModel, taus) -> int:
+    """Write the scan's rows to ``spool``; return the count of range warnings."""
+    csv = args.output == "csv"
+    flagged = 0
+    for i in range(0, len(taus), _CHUNK):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", AsymptoticRangeWarning)
+            rows = scan_rows(model, taus[i:i + _CHUNK], method=args.method,
+                             terms=args.terms)
+        flagged += sum(1 for w in caught
+                       if issubclass(w.category, AsymptoticRangeWarning))
+        if csv:
+            # the tau = 0 row has empty Hamiltonian fields
+            spool.write("".join([
+                _CSV_ROW.format(*r) if r.kappa is not None else
+                ",".join([_fmt(v) for v in r[:-1]] + [r.method]) + "\n"
+                for r in rows]))
+        else:
+            if i:
+                spool.write(",\n")
+            spool.write(_json_rows(rows, args.method))
+    return flagged
+
+
+def _spool_failed(args, exc: OSError, where: str | None):
+    # where, tempfile.tempdir, stays None when no candidate directory was
+    # usable, and exc then lists them
+    args.parser.error("cannot write a temporary file{}: {}".format(
+        "" if where is None else " in " + where, exc))
 
 
 def _write_record(record: dict, args) -> int:

@@ -92,14 +92,6 @@ def _row(model: BreitWignerModel, tau: float, p: float, energy: float | None,
                    method)
 
 
-def _exact_row(model: BreitWignerModel, tau: float) -> ScanRow:
-    p = survival_probability(model, tau)
-    if tau == 0:
-        return _row(model, tau, p, None, None, "exact")
-    h = effective_hamiltonian(model, tau)
-    return _row(model, tau, p, h.energy, h.rate, "exact")
-
-
 def _asymptotic_row(model: BreitWignerModel, tau: float, terms: int) -> ScanRow:
     # No p-range enforcement here: below its validity region the series
     # blows up like 1/tau**2 by design, and scanning into that region
@@ -142,5 +134,19 @@ def scan_rows(model: BreitWignerModel, taus, method: str = "exact",
     check_int("terms", terms, 1, SERIES_TERMS)
     if method == "asymptotic":
         return [_asymptotic_row(model, tau, terms) for tau in taus]
-    build = _exact_row if method == "exact" else _quadrature_row
-    return [build(model, tau) for tau in taus]
+    if method == "quadrature":
+        return [_quadrature_row(model, tau) for tau in taus]
+    # the exact route is the hot loop: the rows _row would give, built in
+    # place; each point still calls the two survival functions through
+    # this module's globals, which perfbench wraps as spans
+    beta = model.beta
+    rows = []
+    for tau in taus:
+        p = survival_probability(model, tau)
+        if tau == 0:
+            rows.append(ScanRow(0.0, p, None, None, None, None, "exact"))
+        else:
+            energy, rate, _ = effective_hamiltonian(model, tau)
+            rows.append(ScanRow(float(tau), p, energy / beta, rate, energy,
+                                -0.5 * rate, "exact"))
+    return rows

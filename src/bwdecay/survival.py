@@ -77,6 +77,11 @@ def energy_and_rate(beta: float, r: complex) -> tuple[float, float]:
     return beta + r.real, -2.0 * r.imag
 
 
+def _probability(value: complex, tau: float) -> float:
+    # |a|**2 with roundoff above 1 clipped to 1, the one probability rule
+    return min(checked_probability(abs(value) ** 2, tau), 1.0)
+
+
 class AmplitudeValue(namedtuple("AmplitudeValue", "value tau")):
     """Survival amplitude at one dimensionless time, an immutable named tuple.
 
@@ -96,7 +101,7 @@ class AmplitudeValue(namedtuple("AmplitudeValue", "value tau")):
             From :func:`checked_probability`, if |value|**2 is NaN or
             exceeds 1 + P_SLACK.
         """
-        return min(checked_probability(abs(self.value) ** 2, self.tau), 1.0)
+        return _probability(self.value, self.tau)
 
 
 class EffectiveHamiltonianValue(namedtuple("EffectiveHamiltonianValue",
@@ -213,19 +218,25 @@ def amplitude(model: BreitWignerModel, tau: float) -> AmplitudeValue:
     """
     if tau == 0:
         return AmplitudeValue(complex(1.0, 0.0), 0.0)
-    # the model has validated beta
+    return AmplitudeValue(_amplitude(model, tau), float(tau))
+
+
+def _amplitude(model: BreitWignerModel, tau: float) -> complex:
+    # a(tau) for tau != 0; the model has validated beta
     check_tau(tau, hint=_I_TAU_HINT)
     i_val, phase = _i_and_phase(model.beta, tau)
-    return AmplitudeValue((model.normalization() / _TWO_PI)
-                          * phase.conjugate() * i_val, float(tau))
+    return (model.normalization() / _TWO_PI) * phase.conjugate() * i_val
 
 
 def survival_probability(model: BreitWignerModel, tau: float) -> float:
     """Decay law P(tau) = ``amplitude(model, tau).probability``.
 
-    |a(tau)|**2 with roundoff above 1 clipped to 1.
+    |a(tau)|**2 with roundoff above 1 clipped to 1, formed without an
+    AmplitudeValue.
     """
-    return amplitude(model, tau).probability
+    if tau == 0:
+        return 1.0
+    return _probability(_amplitude(model, tau), float(tau))
 
 
 def effective_hamiltonian(model: BreitWignerModel,

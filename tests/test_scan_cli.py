@@ -7,11 +7,14 @@ its stdout to a reference rendered from the same rows.
 """
 
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
@@ -397,9 +400,9 @@ class TestScanRendering:
 
     @pytest.mark.parametrize("output", ["csv", "json"])
     def test_scan_holds_its_output_once(self, monkeypatch, tmp_path, output):
-        # a scan keeps the rendered text of the rows it has computed and
-        # the rows of one slice, not every row and several copies of the
-        # text; the traced peak stays below twice the output's size
+        # a scan keeps its grid and the rows and text of one slice, and
+        # spools the rest to a file, not every row and several copies of
+        # the text; the traced peak stays below twice the output's size
         monkeypatch.setattr(cli, "_CHUNK", 256)
         target = tmp_path / "scan.out"
         argv = ["scan", "--beta", "2", "--points", "2049", "--output", output,
@@ -417,24 +420,73 @@ class TestScanRendering:
         assert peak < 2 * size, "peak {} bytes for {} bytes of output".format(
             peak, size)
 
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_a_long_scan_holds_one_slice(self, monkeypatch, tmp_path, output,
+                                         to_file):
+        # 8,193 rows in slices of 256: besides its grid, the scan holds
+        # one slice of rows and text and one block of the spool, so the
+        # traced peak stays below the grid plus a quarter of the output,
+        # to stdout as to --out.  The grid of Python floats is 25% of the
+        # CSV output by itself.
+        monkeypatch.setattr(cli, "_CHUNK", 256)
+        target = tmp_path / "scan.out"
+        argv = ["scan", "--beta", "2", "--points", "8193", "--output", output]
+        if to_file:
+            argv += ["--out", str(target)]
+        grid = time_grid(0.01, 40.0, 8193, "log")
+        grid_bytes = sys.getsizeof(grid) + sum(map(sys.getsizeof, grid))
+        del grid
+
+        def scan(argv):
+            with open(tmp_path / "stdout.out" if to_file else target, "w",
+                      encoding="utf-8", newline="") as fh:
+                with contextlib.redirect_stdout(fh):
+                    assert cli.main(argv) == 0
+
+        # a first short scan builds the parser and fills caches that live
+        # on after it
+        scan([arg if arg != "8193" else "2" for arg in argv])
+        tracemalloc.start()
+        try:
+            scan(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert size > 10**6
+        assert peak < grid_bytes + size / 4, (
+            "peak {} bytes for a {}-byte grid and {} bytes of output".format(
+                peak, grid_bytes, size))
+
     @pytest.mark.parametrize("to_file", [False, True])
     def test_a_failure_in_a_late_slice_writes_nothing(self, monkeypatch, tmp_path,
                                                       to_file):
         # only the last of the five rows, in the third two-point slice,
-        # overflows beta * tau; the slices before it are rendered by then
+        # overflows beta * tau; the slices before it are spooled by then
         monkeypatch.setattr(cli, "_CHUNK", 2)
-        target = tmp_path / "scan.csv"
+        spool_dir = tmp_path / "tmp"
+        spool_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+        target = tmp_path / "scan.out"
         target.write_text("kept\n")
-        argv = ["scan", "--beta", "1e300", "--tau-min", "1e-300", "--tau-max", "1e9",
-                "--points", "5"] + (["--out", str(target)] if to_file else [])
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            assert cli.main(argv) == 3
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith(
-            "numerical failure: beta * tau overflows double range at beta = 1e+300, "
-            "tau = 1000000000.0;")
-        assert target.read_text() == "kept\n"
+        for output in ("csv", "json"):
+            out_args = ["--output", output] + (["--out", str(target)] if to_file else [])
+            argv = ["scan", "--beta", "1e300", "--tau-min", "1e-300", "--tau-max", "1e9",
+                    "--points", "5", *out_args]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert cli.main(argv) == 3
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith(
+                "numerical failure: beta * tau overflows double range at "
+                "beta = 1e+300, tau = 1000000000.0;")
+            assert target.read_text() == "kept\n"
+            assert list(spool_dir.iterdir()) == []
+        # a scan that succeeds leaves no file behind either
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["scan", "--beta", "2", "--points", "5", *out_args]) == 0
+        assert list(spool_dir.iterdir()) == []
 
     @pytest.mark.parametrize("output", ["csv", "json"])
     def test_non_finite_and_signed_zero_values(self, monkeypatch, output):
@@ -545,6 +597,36 @@ class TestModelResolution:
         assert lines[0].startswith("usage: bwdecay {} [-h]".format(command))
         assert lines[-1].startswith(
             "bwdecay {}: error: cannot write output file {}: ".format(command, path))
+
+    @pytest.mark.parametrize("fault", ["missing", "full"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_temporary_file_failure_is_a_usage_error(self, monkeypatch, tmp_path,
+                                                     fault, to_file):
+        # a scan spools its rows through a file in the temporary directory;
+        # a directory that is missing, or full, ends it before it writes
+        where = str(tmp_path / "missing" if fault == "missing" else tmp_path)
+        monkeypatch.setattr(tempfile, "tempdir", where)
+        if fault == "full":
+            class Full(io.StringIO):
+                def write(self, text):
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            monkeypatch.setattr(tempfile, "TemporaryFile", lambda *a, **k: Full())
+        target = tmp_path / "scan.csv"
+        target.write_text("kept\n")
+        argv = ["scan", "--beta", "2"] + (["--out", str(target)] if to_file else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(argv)
+        assert exit_.value.code == 2
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert lines[0].startswith("usage: bwdecay scan [-h]")
+        assert lines[-1].startswith(
+            "bwdecay scan: error: cannot write a temporary file in {}: ".format(where))
+        assert target.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
 
     def test_e0_route(self, run_cli):
         res = run_cli("info", "--e0", "3", "--gamma0", "0.5", "--emin", "1")

@@ -5,9 +5,12 @@ process and writes, for each, its stdout, stderr and exit code to a JSON
 file.  The list covers ``info``, ``crossover`` at every order, and the
 exact, asymptotic and quadrature scans in CSV and JSON over a spread of
 beta, quadrature scans at beta = 0.001, 1e8 and 1e153, two scans of
-8,193 rows, ``info`` and ``crossover`` in physical units, and the usage
-and numerical error paths.  An uncaught exception is recorded as exit 1,
-with its type and message on stderr, and the corpus goes on.
+8,193 rows, to stdout and to an ``--out`` file, ``info`` and
+``crossover`` in physical units, and the usage and numerical error
+paths.  An uncaught exception is recorded as exit 1, with its type and
+message on stderr, and the corpus goes on.  A call with ``--out`` writes
+to a file in a temporary directory, and its record also holds the
+file's contents.
 Two trees that print the same bytes give the same file, so a refactor
 that should change no output is checked with
 
@@ -24,7 +27,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
+import tempfile
 
 from bwdecay import cli
 
@@ -59,6 +64,11 @@ LONG_SCANS = (
     ("scan", "--beta", "2", "--points", "8193", "--output", "csv"),
     ("scan", "--beta", "2", "--points", "8193", "--output", "json"),
 )
+
+# stands for a file in a temporary directory, so that records do not
+# depend on where it is
+OUT = "OUT"
+OUT_SCANS = tuple(call + ("--out", OUT) for call in LONG_SCANS)
 
 # models in physical units, widths 1e-170 and 1e200 among them, where
 # gamma0**2 alone under- or overflows
@@ -115,24 +125,36 @@ def corpus() -> list:
         for scan in SCANS:
             for output in ("csv", "json"):
                 calls.append(("scan", *model, *scan, "--output", output))
-    return (calls + list(ORACLE_SCANS) + list(LONG_SCANS) + list(UNIT_CALLS)
-            + list(ERRORS))
+    return (calls + list(ORACLE_SCANS) + list(LONG_SCANS) + list(OUT_SCANS)
+            + list(UNIT_CALLS) + list(ERRORS))
 
 
-def run(argv) -> dict:
-    """stdout, stderr and exit code of one in-process ``cli.main`` call."""
+def run(argv, out_dir) -> dict:
+    """stdout, stderr and exit code of one in-process ``cli.main`` call.
+
+    An ``OUT`` argument becomes a file in ``out_dir``, and the record
+    also holds that file's contents, or None where there is no file.
+    """
+    path = os.path.join(out_dir, "scan.out")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(list(argv))
+            code = cli.main([path if arg == OUT else arg for arg in argv])
         except SystemExit as exc:  # argparse reports usage errors so
             code = exc.code
         except Exception as exc:  # a traceback, as the interpreter's exit 1
             print("{}: {}".format(type(exc).__name__, exc), file=sys.stderr)
             code = 1
-    return {"argv": list(argv), "exit": code,
-            "stdout": out.getvalue().split("\n"),
-            "stderr": err.getvalue().split("\n")}
+    record = {"argv": list(argv), "exit": code,
+              "stdout": out.getvalue().split("\n"),
+              "stderr": err.getvalue().split("\n")}
+    if OUT in argv:
+        record["out"] = None
+        if os.path.exists(path):
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                record["out"] = fh.read().split("\n")
+            os.remove(path)
+    return record
 
 
 def main(argv=None) -> int:
@@ -140,7 +162,8 @@ def main(argv=None) -> int:
     if len(args) != 1:
         print("usage: python tools/cli_corpus.py OUT.json", file=sys.stderr)
         return 2
-    records = [run(call) for call in corpus()]
+    with tempfile.TemporaryDirectory() as out_dir:
+        records = [run(call, out_dir) for call in corpus()]
     with open(args[0], "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")
