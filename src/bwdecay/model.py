@@ -149,6 +149,7 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
 
     def tau_of_t(self, t: float) -> float:
         """Dimensionless time gamma0 * t / hbar for finite physical t >= 0."""
+        check_real("t", t)
         tau = self.gamma0 * t / self.hbar
         check_tau(tau, hint=" (from t = {!r})".format(t), zero_ok=True)
         return tau

@@ -18,7 +18,13 @@ from .errors import DomainError
 
 
 def _checked(z) -> complex:
-    w = complex(z)
+    if z.__class__ is complex:  # what the package's own calls pass
+        w = z
+    elif isinstance(z, (int, float, complex)):
+        w = complex(z)
+    else:  # complex() would parse a string
+        raise DomainError(
+            "E1 argument must be an int, float or complex, got {!r}".format(z))
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise DomainError("E1 argument must be finite, got {!r}".format(w))
     if w == 0:
@@ -35,7 +41,7 @@ def exp_integral_e1_scaled(z) -> complex:
 
     Parameters
     ----------
-    z : complex
+    z : int, float or complex
         Argument; must be nonzero, finite and off the negative real axis.
 
     Returns
@@ -50,6 +56,7 @@ def exp_integral_e1_scaled(z) -> complex:
     Raises
     ------
     DomainError
-        If ``z`` is zero, non-finite, or on the branch cut.
+        If ``z`` is not an int, float or complex, or is zero, non-finite,
+        or on the branch cut.
     """
     return kernels.e1_scaled(_checked(z))

@@ -123,7 +123,9 @@ def test_time_conversion_rejects_negative():
         m.tau_of_t(-1.0)
     with pytest.raises(DomainError):
         m.t_of_tau(-0.5)
-    for bad in (math.nan, math.inf):
+    # t is checked before it is scaled, so a string or None is a
+    # DomainError too, not the TypeError of the product
+    for bad in (math.nan, math.inf, "1", None):
         with pytest.raises(DomainError):
             m.tau_of_t(bad)
         with pytest.raises(DomainError):

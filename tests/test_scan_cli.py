@@ -345,6 +345,36 @@ def _cli_stdout(argv):
     return out.getvalue()
 
 
+def _traced_long_scan(tmp_path, output, to_file):
+    """Run an 8,193-row scan under tracemalloc, to stdout (redirected to a
+    file) or to ``--out``; return its traced peak, the size of its grid
+    and the size of its output, in bytes."""
+    target = tmp_path / "scan.out"
+    argv = ["scan", "--beta", "2", "--points", "8193", "--output", output]
+    if to_file:
+        argv += ["--out", str(target)]
+    grid = time_grid(0.01, 40.0, 8193, "log")
+    grid_bytes = sys.getsizeof(grid) + sum(map(sys.getsizeof, grid))
+    del grid
+
+    def scan(argv):
+        with open(tmp_path / "stdout.out" if to_file else target, "w",
+                  encoding="utf-8", newline="") as fh:
+            with contextlib.redirect_stdout(fh):
+                assert cli.main(argv) == 0
+
+    # a first short scan builds the parser and fills caches that live
+    # on after it
+    scan([arg if arg != "8193" else "2" for arg in argv])
+    tracemalloc.start()
+    try:
+        scan(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, grid_bytes, target.stat().st_size
+
+
 RENDER_SCANS = [
     ("--method", "exact", "--grid", "linear", "--tau-min", "0", "--tau-max", "30",
      "--points", "41"),
@@ -430,34 +460,22 @@ class TestScanRendering:
         # to stdout as to --out.  The grid of Python floats is 25% of the
         # CSV output by itself.
         monkeypatch.setattr(cli, "_CHUNK", 256)
-        target = tmp_path / "scan.out"
-        argv = ["scan", "--beta", "2", "--points", "8193", "--output", output]
-        if to_file:
-            argv += ["--out", str(target)]
-        grid = time_grid(0.01, 40.0, 8193, "log")
-        grid_bytes = sys.getsizeof(grid) + sum(map(sys.getsizeof, grid))
-        del grid
-
-        def scan(argv):
-            with open(tmp_path / "stdout.out" if to_file else target, "w",
-                      encoding="utf-8", newline="") as fh:
-                with contextlib.redirect_stdout(fh):
-                    assert cli.main(argv) == 0
-
-        # a first short scan builds the parser and fills caches that live
-        # on after it
-        scan([arg if arg != "8193" else "2" for arg in argv])
-        tracemalloc.start()
-        try:
-            scan(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        size = target.stat().st_size
+        peak, grid_bytes, size = _traced_long_scan(tmp_path, output, to_file)
         assert size > 10**6
         assert peak < grid_bytes + size / 4, (
             "peak {} bytes for a {}-byte grid and {} bytes of output".format(
                 peak, grid_bytes, size))
+
+    def test_the_default_slice_is_small(self, tmp_path):
+        # the JSON scan to --out in slices of the default size, seventeen
+        # of them, the last one row long.  Above its grid the traced peak
+        # was 0.43 MB in slices of 512 rows, 0.83 MB in slices of 1,024
+        # and 3.23 MB in slices of 4,096.  The bound is 2.3 times the
+        # first and under a third of the last.
+        peak, grid_bytes, size = _traced_long_scan(tmp_path, "json", True)
+        assert peak - grid_bytes < 1.0e6, (
+            "peak {} bytes above a {}-byte grid, {} bytes of output".format(
+                peak - grid_bytes, grid_bytes, size))
 
     @pytest.mark.parametrize("to_file", [False, True])
     def test_a_failure_in_a_late_slice_writes_nothing(self, monkeypatch, tmp_path,

@@ -76,9 +76,10 @@ def test_scaled_consistent_with_unscaled(z):
 @pytest.mark.parametrize(
     "z",
     [0j, -1.0 + 0.0j, -3.5 + 0.0j, complex("nan"), complex(float("inf"), 0.0),
-     complex(0.0, float("nan"))],
+     complex(0.0, float("nan")), "1", None],
 )
 def test_rejects_cut_zero_and_nonfinite(z):
+    # a string is not parsed as a number, and None is no number either
     with pytest.raises(DomainError):
         exp_integral_e1_scaled(z)
 

@@ -59,7 +59,7 @@ ORACLE_SCANS = tuple(
     for beta, lo in (("0.001", "1e-6"), ("1e8", "0.01"), ("1e153", "0.01")))
 
 # exact scans long enough that the CLI evaluates and renders them in
-# three slices, the last one row long
+# seventeen slices, the last one row long
 LONG_SCANS = (
     ("scan", "--beta", "2", "--points", "8193", "--output", "csv"),
     ("scan", "--beta", "2", "--points", "8193", "--output", "json"),
@@ -107,7 +107,8 @@ ERRORS = (
      "--points", "2"),
     ("scan", "--beta", "0.05", "--tau-min", "7", "--tau-max", "9", "--points", "5"),
     ("crossover", "--beta", "10", "--amp-const", "1e-300"),
-    # NearZeroAmplitude at tau ~ 1343.8, in the third slice of the grid
+    # NearZeroAmplitude at tau ~ 1343.8, row 8,828, in the last of the
+    # grid's eighteen slices
     ("scan", "--beta", "1e300", "--tau-min", "1e-300", "--tau-max", "1e9",
      "--points", "9000"),
 )
