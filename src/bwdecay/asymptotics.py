@@ -12,10 +12,18 @@ and g = eta f, ci_k = (-1)**(k+1) D f^(k)(-beta) and cj_k likewise of g.
 Leibniz's rule on (eta**2 + 1/4) f = 1 and (eta**2 + 1/4) g = eta at
 eta = -beta gives one recurrence for both tables (s = 0, c_0 = -1 for
 ci; s = 1, c_0 = beta for cj), and as ci_0 = -1, long division of the J
-series by the I series gives cr.  All three tables are generated so:
+series by the I series gives cr:
 
     c_k  = [k == 1] s - (2 k beta c_{k-1} + k (k-1) c_{k-2}) / D,
     cr_n = sum_{k<n} cr_k ci_{n-k} - cj_n.
+
+D overflows from beta ~ 1.3e154, and ci_4 ~ -120/D**2 nears the
+subnormals from 2.5e77, long before the cr_4 ~ 44/beta**3 it enters.
+So the tables are run on beta and 1/2 scaled by 2**-e, with 2**e in
+(beta, 2 beta] (e = 0 below beta = 1): each step is the unscaled one
+exactly scaled, no entry exceeds about 2**k k!, and ldexp removes the
+scale (2**(k e) of ci_k, 2**((k-1) e) of cj_k and cr_k), exactly above
+the subnormals.  Below beta ~ 2.5e77 the tables are the unscaled ones.
 
 The widely quoted closed forms of the ratio's third and fourth
 coefficients, (1+24b-28b**2-96b**3+64b**4)/(4 D**3) and
@@ -52,23 +60,22 @@ class AsymptoticRangeWarning(UserWarning):
 
 @functools.lru_cache(maxsize=1)
 def _tables(beta: float) -> tuple:
-    # (ci, cj, cr) by the module docstring's recurrence, with b = beta/D
-    # and r = 1/D so that no product overflows while D is finite.  One
+    # (ci, cj, cr) by the module docstring's recurrence and division, on
+    # x = beta 2**-e and h = 2**-e / 2, with b = x/d and r = 1/d.  One
     # entry: a scan or a cross-over solve asks for one beta throughout.
-    d = beta * beta + 0.25
-    b, r = beta / d, 1.0 / d
-    ci, cj, cr = [-1.0], [beta], [-beta]
+    e = max(math.frexp(beta)[1], 0)
+    x, h = math.ldexp(beta, -e), math.ldexp(0.5, -e)
+    d = x * x + h * h
+    b, r = x / d, 1.0 / d
+    ci, cj, cr = [-1.0], [x], [-x]
     for k in range(1, SERIES_TERMS):
         # at k = 1 the weight of c_{k-2} is 0, whatever c[-1] holds
         for c, s in ((ci, 0.0), (cj, 1.0 if k == 1 else 0.0)):
             c.append(s - 2 * k * b * c[k - 1] - k * (k - 1) * r * c[k - 2])
         cr.append(sum(cr[n] * ci[k - n] for n in range(k)) - cj[k])
-    if d == math.inf:
-        # beta**2 overflowed and b = r = 0 zeroed what carries 1/D; NaN
-        # fails every consumer closed (ci_1 = 2b keeps its limit 0)
-        nan = [math.nan] * SERIES_TERMS
-        ci[2:], cj[1:], cr[2:] = nan[2:], nan[1:], nan[2:]
-    return tuple(ci), tuple(cj), tuple(cr)
+    return (tuple(math.ldexp(c, -k * e) for k, c in enumerate(ci)),
+            tuple(math.ldexp(c, (1 - k) * e) for k, c in enumerate(cj)),
+            tuple(math.ldexp(c, (1 - k) * e) for k, c in enumerate(cr)))
 
 
 def i_brace_coefficients(beta: float) -> tuple:

@@ -76,9 +76,7 @@ def _decreasing_from(beta: float, order: int, grid) -> int:
     F evaluation.  Along that suffix neighbouring points are at least
     (1e4**(1/480) - 1) tau >= 0.019 apart, so F falls by at least
     0.0097 per step, far above its rounding: the computed F is strictly
-    decreasing there and changes sign at most once.  NaN or infinite
-    coefficients (D overflows for beta >~ 1.3e154) fail every test and
-    return the last index, a suffix of one point that proves nothing.
+    decreasing there and changes sign at most once.
     """
     tail = [abs(c) for c in i_brace_coefficients(beta)[1:order]]
 

@@ -136,17 +136,11 @@ def scan_rows(model: BreitWignerModel, taus, method: str = "exact",
         return [_asymptotic_row(model, tau, terms) for tau in taus]
     if method == "quadrature":
         return [_quadrature_row(model, tau) for tau in taus]
-    # the exact route is the hot loop: the rows _row would give, built in
-    # place; each point still calls the two survival functions through
-    # this module's globals, which perfbench wraps as spans
-    beta = model.beta
+    # each exact point calls the two survival functions through this
+    # module's globals, which perfbench wraps as spans
     rows = []
     for tau in taus:
         p = survival_probability(model, tau)
-        if tau == 0:
-            rows.append(ScanRow(0.0, p, None, None, None, None, "exact"))
-        else:
-            energy, rate, _ = effective_hamiltonian(model, tau)
-            rows.append(ScanRow(float(tau), p, energy / beta, rate, energy,
-                                -0.5 * rate, "exact"))
+        energy, rate, _ = (None,) * 3 if tau == 0 else effective_hamiltonian(model, tau)
+        rows.append(_row(model, tau, p, energy, rate, "exact"))
     return rows

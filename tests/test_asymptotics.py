@@ -2,6 +2,7 @@
 and range warnings."""
 
 import math
+import sys
 import warnings
 
 import mpmath
@@ -83,6 +84,38 @@ def test_generated_tables_match_mpmath():
             for k in range(SERIES_TERMS):
                 bound = 1e-14 * math.factorial(k) * d ** (mpmath.mpf(1 - k) / 2)
                 assert abs(got[k] - ref[k]) <= bound, (beta, name, k)
+
+
+def _closed_form_tables(beta):
+    # with p = 1/(-beta - i/2), ci_k = -2 D k! Im p**(k+1) and
+    # cj_k = -D k! Re p**(k+1), at 80 digits; mpmath.diffs at 50 digits
+    # loses ci_4 from beta ~ 1e50 on
+    with mpmath.workdps(80):
+        b = mpmath.mpf(beta)
+        d = b * b + mpmath.mpf(1) / 4
+        p = 1 / mpmath.mpc(-b, -0.5)
+        powers = [mpmath.factorial(k) * d * p ** (k + 1) for k in range(SERIES_TERMS)]
+        ci = [-2 * v.imag for v in powers]
+        cj = [-v.real for v in powers]
+        cr = []
+        for n in range(SERIES_TERMS):
+            cr.append(sum(cr[k] * ci[n - k] for k in range(n)) - cj[n])
+        return ci, cj, cr
+
+
+def test_tables_hold_across_the_domain():
+    # beta = 10**(k/10) from 1e-3 to 1e308, every third, where D and
+    # its powers overflow or underflow a double: every entry whose true
+    # value is a normal double agrees to 1e-13 (the zeros of cj_1 and
+    # cr_3 are test_generated_tables_match_mpmath's)
+    for beta in [10.0 ** (k / 10) for k in range(-30, 3081, 3)]:
+        generated = (i_brace_coefficients(beta), j_brace_coefficients(beta),
+                     ratio_coefficients(beta))
+        for name, got, ref in zip(("ci", "cj", "cr"), generated,
+                                  _closed_form_tables(beta)):
+            for k in range(SERIES_TERMS):
+                if sys.float_info.min <= abs(ref[k]) <= sys.float_info.max:
+                    assert abs(got[k] - ref[k]) <= 1e-13 * abs(ref[k]), (beta, name, k)
 
 
 def test_printed_forms_agree_only_at_unit_offset():

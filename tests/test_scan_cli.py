@@ -297,6 +297,18 @@ class TestScanCommand:
         assert [float(r[p]) for r in rows] == pytest.approx(
             [math.exp(-0.5), math.exp(-2.0), math.exp(-8.0)], rel=1e-14)
 
+    def test_asymptotic_route_at_huge_beta(self, run_cli):
+        # D = beta**2 + 1/4 overflows, the scaled series tables do not;
+        # the rate is 2/tau, as the 1/tau**3 term is far below an ulp
+        res = run_cli("scan", "--beta", "1e200", "--method", "asymptotic",
+                      "--tau-min", "40", "--tau-max", "1e8", "--points", "3")
+        assert res.returncode == 0, res.stderr
+        _, header, rows = parse_csv_rows(res.stdout)
+        assert all(math.isfinite(float(v)) for r in rows for v in r[:-1])
+        gamma = header.split(",").index("gamma_ratio")
+        assert [float(r[gamma]) for r in rows] == pytest.approx(
+            [2.0 / float(r[0]) for r in rows], rel=1e-15)
+
     def test_quadrature_route_covers_the_small_beta_hole(self, run_cli):
         # where z- = -tau/2 - i beta tau runs close to the cut past |z| = 4
         res = run_cli("scan", "--beta", "0.05", "--method", "quadrature",
@@ -409,7 +421,7 @@ class TestScanRendering:
             monkeypatch.setattr(cli, "_CHUNK", chunk)
             assert _cli_stdout(argv) == expected, "slices of {}".format(chunk)
 
-    @pytest.mark.parametrize("chunk", [4, cli._CHUNK])
+    @pytest.mark.parametrize("chunk", [4, cli._CHUNK], ids=["four", "default"])
     def test_range_note_counts_every_slice(self, monkeypatch, chunk):
         # the first five of these 31 rows lie below the series' reliable
         # region, so with four-point slices they fall in two slices

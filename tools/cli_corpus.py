@@ -1,16 +1,17 @@
 """Record what the command line prints for a fixed list of calls.
 
-Runs about a hundred argument lists through ``bwdecay.cli.main`` in one
-process and writes, for each, its stdout, stderr and exit code to a JSON
-file.  The list covers ``info``, ``crossover`` at every order, and the
-exact, asymptotic and quadrature scans in CSV and JSON over a spread of
-beta, quadrature scans at beta = 0.001, 1e8 and 1e153, two scans of
-8,193 rows, to stdout and to an ``--out`` file, ``info`` and
-``crossover`` in physical units, and the usage and numerical error
-paths.  An uncaught exception is recorded as exit 1, with its type and
-message on stderr, and the corpus goes on.  A call with ``--out`` writes
-to a file in a temporary directory, and its record also holds the
-file's contents.
+Runs 150 argument lists through ``bwdecay.cli.main`` in one process
+and writes, for each, its stdout, stderr and exit code to a JSON file.
+The list covers ``info``, ``crossover`` at every order, and the exact,
+asymptotic and quadrature scans in CSV and JSON over a spread of beta,
+quadrature scans at beta = 0.001, 1e8 and 1e153, an asymptotic scan at
+beta = 1e200 and a cross-over at 1.5e154, where D = beta**2 + 1/4
+overflows, two scans of 8,193 rows, to stdout and to an ``--out`` file,
+``info`` and ``crossover`` in physical units, and the usage and
+numerical error paths.  An uncaught exception is recorded as exit 1,
+with its type and message on stderr, and the corpus goes on.  A call
+with ``--out`` writes to a file in a temporary directory, and its record
+also holds the file's contents.
 Two trees that print the same bytes give the same file, so a refactor
 that should change no output is checked with
 
@@ -57,6 +58,13 @@ ORACLE_SCANS = tuple(
     ("scan", "--beta", beta, "--method", "quadrature", "--tau-min", lo, "--tau-max", "1e4",
      "--points", "25", "--output", "csv")
     for beta, lo in (("0.001", "1e-6"), ("1e8", "0.01"), ("1e153", "0.01")))
+
+# the late-time series where D = beta**2 + 1/4 overflows a double
+HUGE_BETA = (
+    ("scan", "--beta", "1e200", "--method", "asymptotic", "--tau-min", "40",
+     "--tau-max", "1e8", "--points", "5", "--output", "csv"),
+    ("crossover", "--beta", "1.5e154", "--terms", "3"),
+)
 
 # exact scans long enough that the CLI evaluates and renders them in
 # seventeen slices, the last one row long
@@ -126,8 +134,8 @@ def corpus() -> list:
         for scan in SCANS:
             for output in ("csv", "json"):
                 calls.append(("scan", *model, *scan, "--output", output))
-    return (calls + list(ORACLE_SCANS) + list(LONG_SCANS) + list(OUT_SCANS)
-            + list(UNIT_CALLS) + list(ERRORS))
+    return (calls + list(ORACLE_SCANS) + list(HUGE_BETA) + list(LONG_SCANS)
+            + list(OUT_SCANS) + list(UNIT_CALLS) + list(ERRORS))
 
 
 def run(argv, out_dir) -> dict:
