@@ -21,11 +21,20 @@ that should change no output is checked with
 
 Each output is stored as its list of lines, so the diff names the call
 and the line that moved.  A run takes about a second.
+
+With ``--digests`` each output is stored as the SHA-256 of its text
+instead, one record a line.  ``tests/data/cli_corpus.json`` is that
+file for the tree it is committed with, and ``tests/test_cli_corpus.py``
+checks the tree against it; a change that moves printed bytes on
+purpose rewrites it with
+
+    PYTHONPATH=src python tools/cli_corpus.py --digests tests/data/cli_corpus.json
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -166,16 +175,30 @@ def run(argv, out_dir) -> dict:
     return record
 
 
+def digest(record) -> dict:
+    """The record with each output's lines replaced by the SHA-256 of
+    their text; a missing ``--out`` file stays None."""
+    return {key: value if key in ("argv", "exit") or value is None
+            else hashlib.sha256("\n".join(value).encode("utf-8")).hexdigest()
+            for key, value in record.items()}
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: python tools/cli_corpus.py OUT.json", file=sys.stderr)
+    digests = args[:1] == ["--digests"]
+    if len(args) != 1 + digests:
+        print("usage: python tools/cli_corpus.py [--digests] OUT.json",
+              file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as out_dir:
         records = [run(call, out_dir) for call in corpus()]
-    with open(args[0], "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
+    with open(args[-1], "w", encoding="utf-8") as fh:
+        if digests:
+            fh.write("[\n{}\n]\n".format(
+                ",\n".join(json.dumps(digest(record)) for record in records)))
+        else:
+            json.dump(records, fh, indent=1)
+            fh.write("\n")
     return 0
 
 
