@@ -177,12 +177,10 @@ def energy_late(model: BreitWignerModel, tau: float) -> float:
 
 
 def decay_rate_late(model: BreitWignerModel, tau: float) -> float:
-    """Late-time instantaneous decay rate, physical units.
-
-    Odd powers of i/tau in the ratio series are imaginary; with
-    gamma = -2 gamma0 Im[J/I] they give 2 gamma0/tau at leading order,
-    independent of beta, plus a 1/tau**3 correction.
-    """
-    check_tau(tau)  # the model checked its beta
-    c = ratio_coefficients(model.beta)
-    return model.gamma0 * (-2.0 * c[1] / tau + 2.0 * c[3] / tau ** 3)
+    """Late-time instantaneous decay rate, physical units: gamma0 times
+    -2 Im of :func:`ratio_series` at all five terms, the rate an
+    asymptotic scan prints.  It is 2 gamma0/tau at leading order,
+    independent of beta, plus a 1/tau**3 correction, and warns where
+    ratio_series does."""
+    r = _series(ratio_coefficients, model.beta, tau, SERIES_TERMS, SERIES_TERMS, "RATIO")
+    return model.gamma0 * (-2.0 * r.imag)

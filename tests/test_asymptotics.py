@@ -182,6 +182,7 @@ def test_warns_outside_validity_range():
         lambda: j_series(10.0, 0.1, 5),
         lambda: ratio_series(10.0, 0.1, 5),
         lambda: amplitude_late(BreitWignerModel.from_beta(10.0), 0.1, 4),
+        lambda: decay_rate_late(BreitWignerModel.from_beta(10.0), 0.1),
     ],
 )
 def test_range_warning_points_at_the_caller(call):
@@ -227,6 +228,25 @@ def test_late_energy_and_rate_match_exact_path():
     h = effective_hamiltonian(m, 100.0)
     assert energy_late(m, 100.0) == pytest.approx(h.energy, rel=1e-8)
     assert decay_rate_late(m, 100.0) == pytest.approx(h.rate, rel=1e-8)
+
+
+@pytest.mark.parametrize("units", [{}, {"gamma0": 2.5, "emin": 1.0}],
+                         ids=["unit", "physical"])
+def test_late_energy_and_rate_are_the_scan_columns(units):
+    # one formula each: the library's late-time E and gamma are the
+    # order-5 asymptotic scan's re_h and gamma_ratio in physical units,
+    # bit for bit, across beta, D's overflow included
+    taus = [40.0 * (1e8 / 40.0) ** (n / 24) for n in range(25)]
+    for beta in (0.05, 0.5, 2.0, 10.0, 100.0, 1e4, 1e200):
+        model = BreitWignerModel.from_beta(beta, **units)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AsymptoticRangeWarning)
+            rows = scan_rows(model, taus, method="asymptotic", terms=SERIES_TERMS)
+            for tau, row in zip(taus, rows):
+                assert decay_rate_late(model, tau) == model.gamma0 * row.gamma_ratio, (
+                    beta, tau)
+                assert energy_late(model, tau) == model.emin + model.gamma0 * row.re_h, (
+                    beta, tau)
 
 
 def _mp_energy_series(beta, tau, terms):
