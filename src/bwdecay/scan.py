@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import pairwise
 
 from .asymptotics import (AMPLITUDE_TERMS, SERIES_TERMS, amplitude_late,
                           energy_series, ratio_series)
@@ -73,7 +74,7 @@ def time_grid(tau_min: float, tau_max: float, points: int, kind: str = "log") ->
     grid[-1] = tau_max
     # too many points for the span in doubles (say near the subnormals, or
     # 100 points on [1, 1 + 1e-15]) round to repeats; a scan would print them
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if any(b <= a for a, b in pairwise(grid)):
         raise DomainError(
             "a {} grid of {} points on [{!r}, {!r}] repeats points in double "
             "precision; use fewer points or a wider range".format(

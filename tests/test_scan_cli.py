@@ -57,6 +57,19 @@ class TestTimeGrid:
         assert all(math.isfinite(t) for t in g)
         assert all(b > a for a, b in zip(g, g[1:]))
 
+    def test_the_repeat_check_copies_nothing(self):
+        # the check walks neighbouring pairs in place; a sliced copy of
+        # the grid's references put 0.80 MB on top of a 3.20 MB grid
+        time_grid(0.01, 40.0, 2, "log")
+        tracemalloc.start()
+        try:
+            grid = time_grid(0.01, 40.0, 100000, "log")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid_bytes = sys.getsizeof(grid) + sum(map(sys.getsizeof, grid))
+        assert peak - grid_bytes < 0.1e6, (peak, grid_bytes)
+
     def test_log_grid_over_an_overflowing_ratio_is_geometric(self):
         g = time_grid(1e-200, 1e200, 5, "log")
         assert g[1:4] == pytest.approx([1e-100, 1.0, 1e100], rel=1e-12)
