@@ -113,7 +113,8 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
     ------
     BracketError
         If F has no sign change on [1, 1e4] (does not happen for
-        beta >= 0.5).
+        0.5 <= beta < 1.34e154), or if the late-time amplitude is 0 in
+        double precision, as from beta ~ 1.34e154, where D overflows.
     ToleranceNotMet
         If 200 bisection steps leave |F| above 1e-10.
     """
@@ -139,6 +140,13 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
         last = len(grid) - 1
         m = _decreasing_from(model.beta, order, grid)
         f_last = f(grid[last])
+        if f_last == math.inf:
+            # F(1e4) is +inf only where |a_lt| is 0 on the whole grid:
+            # where its 1/D is
+            raise BracketError(
+                "late-time amplitude is 0 in double precision at beta = {:.6g}, since "
+                "D = beta**2 + 1/4 overflows from beta ~ 1.34e+154".format(model.beta)
+            )
         f_hi = f_last if m == last else f(grid[m])
         lo = hi = None
         if f_hi > 0.0 >= f_last:

@@ -164,6 +164,10 @@ def _walk_crossover(model, order=1, amplitude_const=None):
     a_const = model.normalization() if amplitude_const is None else amplitude_const
     grid = time_grid(1.0, 1.0e4, 481, "log")
     f_hi = _f(model, grid[-1], order, a_const)
+    if f_hi == math.inf:
+        raise BracketError(
+            "late-time amplitude is 0 in double precision at beta = {:.6g}, since "
+            "D = beta**2 + 1/4 overflows from beta ~ 1.34e+154".format(model.beta))
     lo = hi = None
     for i in range(len(grid) - 2, -1, -1):
         f_cur = _f(model, grid[i], order, a_const)
@@ -261,6 +265,17 @@ def test_certificate_holds_where_d_overflows(beta):
     assert all(map(math.isfinite, i_brace_coefficients(beta)))
     grid = crossover._bracket_grid()
     assert crossover._decreasing_from(beta, 3, grid) < len(grid) - 1
+
+
+@pytest.mark.parametrize("beta", [1.5e154, 1e300])
+@pytest.mark.parametrize("order", [1, 3])
+def test_refusal_names_the_overflowed_d(beta, order):
+    # |a_lt| divides by D = beta**2 + 1/4, which overflows from
+    # beta ~ 1.34e154: F is +inf on the whole grid, and the refusal says
+    # so instead of blaming the sign change
+    with pytest.raises(BracketError, match=r"amplitude is 0 in double precision at "
+                       r"beta = .*, since D = beta\*\*2 \+ 1/4 overflows"):
+        crossover_time(BreitWignerModel.from_beta(beta), order=order)
 
 
 def test_bracket_grid_is_built_once():
