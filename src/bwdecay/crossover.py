@@ -141,8 +141,8 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
         m = _decreasing_from(model.beta, order, grid)
         f_last = f(grid[last])
         if f_last == math.inf:
-            # F(1e4) is +inf only where |a_lt| is 0 on the whole grid:
-            # where its 1/D is
+            # |a_lt(1e4)| is 0 only where its factor 1/D is, and then F
+            # is +inf on the whole grid
             raise BracketError(
                 "late-time amplitude is 0 in double precision at beta = {:.6g}, since "
                 "D = beta**2 + 1/4 overflows from beta ~ 1.34e+154".format(model.beta)
