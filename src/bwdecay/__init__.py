@@ -29,7 +29,6 @@ _EXPORTS = {
     "energy_late": "asymptotics",
     "exp_integral_e1_scaled": "special",
     "i_beta": "survival",
-    "i_beta_at_zero": "survival",
     "i_brace_coefficients": "asymptotics",
     "i_by_quadrature": "quadrature",
     "j_beta": "survival",

@@ -143,21 +143,17 @@ def _pieces(beta: float,
 
 
 def i_beta_at_zero(beta: float) -> float:
-    """Limit of i_beta as tau -> 0+, namely pi + 2 arctan(2 beta).
+    """I(0) = pi + 2 arctan(2 beta), which i_beta returns for every tau < 1e-18.
 
-    Exposed separately because i_beta itself cannot be evaluated at
-    tau = 0 (E1 diverges there; the divergences cancel only in the
-    limit).
+    The two E1 terms of the closed form diverge at tau = 0 and cancel
+    only in the limit, so the point takes this formula instead.
     """
     check_beta(beta)
     return math.pi + 2.0 * math.atan(2.0 * beta)
 
 
-_I_TAU_HINT = " (the tau -> 0 limit is i_beta_at_zero)"
-
-
 def _i_and_phase(beta: float, tau: float) -> tuple[complex, complex]:
-    # (I, e^{i beta tau}) for a validated beta and tau > 0
+    # (I, e^{i beta tau}) for a validated beta and tau >= 0
     if tau < _TAU_FLOOR:
         # the deviation from the limit, at most tau (2 ln(1/tau) + 4),
         # is below one ulp of it here
@@ -174,8 +170,7 @@ def i_beta(beta: float, tau: float) -> complex:
     beta : float
         Resonance position above the spectrum edge in widths, > 0.
     tau : float
-        Dimensionless time, > 0.  The tau -> 0+ limit is available as
-        :func:`i_beta_at_zero`.
+        Dimensionless time, >= 0.  I(0) = pi + 2 arctan(2 beta) = 2 pi/N.
 
     Returns
     -------
@@ -183,7 +178,7 @@ def i_beta(beta: float, tau: float) -> complex:
         I(tau); N/(2 pi) times this, dephased, is the amplitude.
     """
     check_beta(beta)
-    check_tau(tau, hint=_I_TAU_HINT)
+    check_tau(tau, zero_ok=True)
     return _i_and_phase(beta, tau)[0]
 
 
@@ -223,7 +218,7 @@ def amplitude(model: BreitWignerModel, tau: float) -> AmplitudeValue:
 
 def _amplitude(model: BreitWignerModel, tau: float) -> complex:
     # a(tau) for tau != 0; the model has validated beta
-    check_tau(tau, hint=_I_TAU_HINT)
+    check_tau(tau, zero_ok=True)
     i_val, phase = _i_and_phase(model.beta, tau)
     return (model.normalization() / _TWO_PI) * phase.conjugate() * i_val
 

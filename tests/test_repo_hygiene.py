@@ -159,9 +159,9 @@ _PUBLIC_NAMES = """
     CrossoverResult DomainError EffectiveHamiltonianValue NearZeroAmplitude
     ScanRow ToleranceNotMet amplitude amplitude_by_quadrature amplitude_late
     crossover_time decay_rate_late effective_hamiltonian energy_late
-    exp_integral_e1_scaled i_beta i_beta_at_zero i_brace_coefficients
-    i_by_quadrature j_beta j_brace_coefficients j_by_quadrature kappa
-    ratio_coefficients ratio_series scan_rows survival_probability time_grid
+    exp_integral_e1_scaled i_beta i_brace_coefficients i_by_quadrature j_beta
+    j_brace_coefficients j_by_quadrature kappa ratio_coefficients ratio_series
+    scan_rows survival_probability time_grid
 """.split()
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bwdecay import survival
 from bwdecay.errors import DomainError, NearZeroAmplitude
 from bwdecay.model import BreitWignerModel
-from bwdecay.quadrature import amplitude_by_quadrature
+from bwdecay.quadrature import amplitude_by_quadrature, i_by_quadrature
 from bwdecay.scan import scan_rows, time_grid
 from bwdecay.survival import (
     AmplitudeValue,
@@ -86,6 +86,30 @@ def test_zero_time_rejected_where_divergent(fn):
 def test_i_rejects_negative_time_only():
     with pytest.raises(DomainError):
         i_beta(2.0, -0.1)
+
+
+@pytest.mark.parametrize("beta", [0.05, 2.0, 100.0, 1e8])
+def test_i_at_zero_is_its_floor_value(beta):
+    # I(0) = pi + 2 arctan(2 beta) is an ordinary value of the integral:
+    # i_beta takes tau = 0 and returns what it returns below 1e-18
+    value = i_beta(beta, 0.0)
+    assert value.__class__ is complex
+    assert value == i_beta(beta, 1e-300) == complex(i_beta_at_zero(beta), 0.0)
+    # the oracle misses its ray at tau = 0 for 1e6 < beta < 1.6e9 (ROADMAP item 22)
+    if beta < 1e6:
+        assert abs(i_by_quadrature(beta, 0.0) - value) / abs(value) < 1e-10
+
+
+@pytest.mark.parametrize("call,bad", [
+    (lambda: amplitude(BreitWignerModel.from_beta(2.0), -1.0), "-1.0"),
+    (lambda: survival_probability(BreitWignerModel.from_beta(2.0), math.nan), "nan"),
+    (lambda: i_beta(2.0, -1.0), "-1.0"),
+], ids=["amplitude", "survival_probability", "i_beta"])
+def test_tau_errors_name_the_accepted_domain(call, bad):
+    # the functions of I accept tau = 0, and their message says so
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == "tau must be a finite non-negative real, got " + bad
 
 
 def test_j_is_time_derivative_of_i():
