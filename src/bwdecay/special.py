@@ -29,7 +29,8 @@ def _checked(z) -> complex:
         raise DomainError("E1 argument must be finite, got {!r}".format(w))
     if w == 0:
         raise DomainError("E1 diverges logarithmically at z = 0")
-    if w.imag == 0.0 and w.real < 0.0:
+    # -0.0 selects the lower lip of the cut, as in cmath.log
+    if w.imag == 0.0 and w.real < 0.0 and math.copysign(1.0, w.imag) > 0.0:
         raise DomainError(
             "z = {!r} lies on the branch cut of E1 (negative real axis)".format(w)
         )
@@ -43,6 +44,9 @@ def exp_integral_e1_scaled(z) -> complex:
     ----------
     z : int, float or complex
         Argument; must be nonzero, finite and off the negative real axis.
+        A negative real part with imaginary part -0.0 stands for the
+        lower lip of the cut, as in ``cmath.log``, and gets the limit
+        from below; +0.0, as every int and float has, is refused.
 
     Returns
     -------
@@ -57,6 +61,6 @@ def exp_integral_e1_scaled(z) -> complex:
     ------
     DomainError
         If ``z`` is not an int, float or complex, or is zero, non-finite,
-        or on the branch cut.
+        or on the branch cut with imaginary part +0.0.
     """
     return kernels.e1_scaled(_checked(z))

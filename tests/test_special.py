@@ -84,6 +84,15 @@ def test_rejects_cut_zero_and_nonfinite(z):
         exp_integral_e1_scaled(z)
 
 
+@pytest.mark.parametrize("x", [-0.005, -5.0, -49.0, -60.0, -800.0])
+def test_lower_lip_of_the_cut_is_the_limit_from_below(x):
+    # -0.0, as z- gets where beta * tau underflows, selects the lower lip
+    # as cmath.log does; +0.0 stays refused above
+    assert math.copysign(1.0, cmath.log(complex(x, -0.0)).imag) < 0
+    v = exp_integral_e1_scaled(complex(x, -0.0))
+    assert _rel(v, _mp_e1_scaled(complex(x, -1e-300))) < 1e-14
+
+
 def test_scaled_stays_finite_deep_in_left_half_plane():
     # e^{-z} alone exceeds the double range there, and so does E1
     v = exp_integral_e1_scaled(complex(-800.0, 1.0))
