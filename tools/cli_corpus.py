@@ -1,12 +1,13 @@
 """Record what the command line prints for a fixed list of calls.
 
-Runs 150 argument lists through ``bwdecay.cli.main`` in one process
+Runs 153 argument lists through ``bwdecay.cli.main`` in one process
 and writes, for each, its stdout, stderr and exit code to a JSON file.
 The list covers ``info``, ``crossover`` at every order, and the exact,
 asymptotic and quadrature scans in CSV and JSON over a spread of beta,
 quadrature scans at beta = 0.001, 1e8 and 1e153, an asymptotic scan at
 beta = 1e200 and a cross-over at 1.5e154, where D = beta**2 + 1/4
-overflows, two scans of 8,193 rows, to stdout and to an ``--out`` file,
+overflows, exact, quadrature and asymptotic scans at beta = 1e-323 or
+1e-12, two scans of 8,193 rows, to stdout and to an ``--out`` file,
 ``info`` and ``crossover`` in physical units, and the usage and
 numerical error paths.  An uncaught exception is recorded as exit 1,
 with its type and message on stderr, and the corpus goes on.  A call
@@ -73,6 +74,16 @@ HUGE_BETA = (
     ("scan", "--beta", "1e200", "--method", "asymptotic", "--tau-min", "40",
      "--tau-max", "1e8", "--points", "5", "--output", "csv"),
     ("crossover", "--beta", "1.5e154", "--terms", "3"),
+)
+
+# beta * tau underflows at the smallest beta: the exact route on the
+# lower lip of the E1 cut, the oracle's refusal, and the asymptotic
+# kappa that the few bits of a subnormal beta leave
+SMALL_BETA = (
+    ("scan", "--beta", "1e-323", "--points", "4"),
+    ("scan", "--beta", "1e-12", "--method", "quadrature", "--points", "3"),
+    ("scan", "--beta", "1e-323", "--method", "asymptotic", "--tau-min", "50",
+     "--tau-max", "1e8", "--points", "3"),
 )
 
 # exact scans long enough that the CLI evaluates and renders them in
@@ -143,8 +154,8 @@ def corpus() -> list:
         for scan in SCANS:
             for output in ("csv", "json"):
                 calls.append(("scan", *model, *scan, "--output", output))
-    return (calls + list(ORACLE_SCANS) + list(HUGE_BETA) + list(LONG_SCANS)
-            + list(OUT_SCANS) + list(UNIT_CALLS) + list(ERRORS))
+    return (calls + list(ORACLE_SCANS) + list(HUGE_BETA) + list(SMALL_BETA)
+            + list(LONG_SCANS) + list(OUT_SCANS) + list(UNIT_CALLS) + list(ERRORS))
 
 
 def run(argv, out_dir) -> dict:
