@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
 from bwdecay import asymptotics, survival
@@ -121,3 +122,20 @@ def j_series(beta, tau, order):
     return _late_integral(beta, tau, asymptotics._series(
         asymptotics.j_brace_coefficients, beta, tau, order,
         asymptotics.SERIES_TERMS, "J_SERIES"))
+
+
+def mp_integrals(beta, tau, beta_tau=None, digits=40):
+    """(I, J) at ``digits`` digits from G(z) = exp(z) E1(z) of mpmath.
+
+    The phase exp(i beta tau) is taken at ``beta_tau``, by default the
+    exact product; pass the double-rounded product to compare with the
+    package's phase convention.
+    """
+    with mp.workdps(digits):
+        b, t = mp.mpf(beta), mp.mpf(tau)
+        zp, zm = mp.mpc(t / 2, -b * t), mp.mpc(-t / 2, -b * t)
+        gp, gm = mp.exp(zp) * mp.e1(zp), mp.exp(zm) * mp.e1(zm)
+        phase = mp.expj(b * t if beta_tau is None else mp.mpf(beta_tau))
+        decay = mp.exp(-t / 2)
+        return (complex(2 * mp.pi * decay + 1j * phase * (gm - gp)),
+                complex(-1j * mp.pi * decay + phase * (gp + gm) / 2))

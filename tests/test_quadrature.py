@@ -18,28 +18,11 @@ from bwdecay.quadrature import (
 from bwdecay.scan import scan_rows
 from bwdecay.survival import amplitude, i_beta, i_beta_at_zero, j_beta
 
-from conftest import i_series, j_series
+from conftest import i_series, j_series, mp_integrals
 
 
 def _rel(a, b):
     return abs(a - b) / abs(b)
-
-
-def _mp_integrals(beta, tau, beta_tau=None):
-    """(I, J) at 40 digits from G(z) = exp(z) E1(z) of mpmath.
-
-    The phase exp(i beta tau) is taken at ``beta_tau``, by default the
-    exact product; pass the double-rounded product to compare with the
-    package's phase convention.
-    """
-    with mp.workdps(40):
-        b, t = mp.mpf(beta), mp.mpf(tau)
-        zp, zm = mp.mpc(t / 2, -b * t), mp.mpc(-t / 2, -b * t)
-        gp, gm = mp.exp(zp) * mp.e1(zp), mp.exp(zm) * mp.e1(zm)
-        phase = mp.expj(b * t if beta_tau is None else mp.mpf(beta_tau))
-        decay = mp.exp(-t / 2)
-        return (complex(2 * mp.pi * decay + 1j * phase * (gm - gp)),
-                complex(-1j * mp.pi * decay + phase * (gp + gm) / 2))
 
 
 def test_settings_defaults():
@@ -207,7 +190,7 @@ def test_small_beta_hole_against_mpmath(beta, tau):
     # at small beta, z- = -tau/2 - i beta tau runs close to the cut past
     # |z| = 4; the oracle and the exact route both hold I and J against
     # an independent 40-digit reference there
-    i_ref, j_ref = _mp_integrals(beta, tau)
+    i_ref, j_ref = mp_integrals(beta, tau)
     assert _rel(i_by_quadrature(beta, tau), i_ref) < 1e-12
     assert _rel(j_by_quadrature(beta, tau), j_ref) < 1e-12
     assert _rel(i_beta(beta, tau), i_ref) < 1e-12
@@ -238,11 +221,11 @@ def test_oracle_against_mpmath_over_the_domain(beta):
     rows = scan_rows(model, taus, method="quadrature")
     for tau, row in zip(taus, rows):
         (i_val, i_err), (j_val, j_err) = quad(beta, tau)
-        i_ref, j_ref = _mp_integrals(beta, tau, beta * tau)
+        i_ref, j_ref = mp_integrals(beta, tau, beta * tau)
         assert abs(i_val - i_ref) <= i_err, tau
         assert abs(j_val - j_ref) <= j_err, tau
         if beta * tau <= 1e3:
-            i_ref, j_ref = _mp_integrals(beta, tau)
+            i_ref, j_ref = mp_integrals(beta, tau)
             assert _rel(i_val, i_ref) < 1e-12, tau
             assert _rel(j_val, j_ref) < 1e-12, tau
             assert max(_row_errors(beta, row, i_ref, j_ref)) < 1e-12, tau

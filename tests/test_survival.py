@@ -4,7 +4,6 @@ witness and brace references of tests/conftest.py held to it."""
 import cmath
 import math
 
-import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +31,7 @@ from conftest import (
     effective_hamiltonian_brace,
     i_series,
     j_series,
+    mp_integrals,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -113,30 +113,19 @@ def test_tau_errors_name_the_accepted_domain(call, bad):
     assert str(info.value) == "tau must be a finite non-negative real, got " + bad
 
 
-def _mp_row(beta, tau):
-    """(p, gamma_ratio, re_h) at 50 digits, with beta * tau exact."""
-    with mp.workdps(50):
-        b, t = mp.mpf(beta), mp.mpf(tau)
-        zp, zm = mp.mpc(t / 2, -b * t), mp.mpc(-t / 2, -b * t)
-        gp, gm = mp.exp(zp) * mp.e1(zp), mp.exp(zm) * mp.e1(zm)
-        phase, decay = mp.expj(b * t), mp.exp(-t / 2)
-        i_val = 2 * mp.pi * decay + 1j * phase * (gm - gp)
-        j_val = -1j * mp.pi * decay + phase * (gp + gm) / 2
-        norm = 2 * mp.pi / (mp.pi + 2 * mp.atan(2 * b))
-        ratio = j_val / i_val
-        return (float(abs(norm / (2 * mp.pi) * i_val) ** 2),
-                float(-2 * mp.im(ratio)), float(b + mp.re(ratio)))
-
-
 @pytest.mark.parametrize("beta", [5e-324, 1e-323, 1e-300, 1e-20, 1e-8, 1e-3])
 def test_exact_route_matches_mpmath_at_small_beta(beta):
     # below beta * tau ~ 2.5e-324 the imaginary part of z- underflows to
     # -0.0, the lower lip of the E1 cut; the route takes the limit there
     taus = [0.01, 1.0, 30.0]
-    rows = scan_rows(BreitWignerModel.from_beta(beta), taus)
-    for tau, row in zip(taus, rows):
-        for got, want in zip((row.p, row.gamma_ratio, row.re_h), _mp_row(beta, tau)):
-            assert abs(got - want) <= 1e-12 * abs(want), (tau, got, want)
+    model = BreitWignerModel.from_beta(beta)
+    for tau, row in zip(taus, scan_rows(model, taus)):
+        i_val, j_val = mp_integrals(beta, tau, digits=50)
+        ratio = j_val / i_val
+        want = (abs(model.normalization() / TWO_PI * i_val) ** 2,
+                -2.0 * ratio.imag, beta + ratio.real)
+        for got, ref in zip((row.p, row.gamma_ratio, row.re_h), want):
+            assert abs(got - ref) <= 1e-12 * abs(ref), (tau, got, ref)
 
 
 def test_j_is_time_derivative_of_i():
