@@ -27,7 +27,7 @@ _EXPORTS = {
     "decay_rate_late": "asymptotics",
     "effective_hamiltonian": "survival",
     "energy_late": "asymptotics",
-    "exp_integral_e1_scaled": "special",
+    "exp_integral_e1_scaled": "_kernels_py",
     "i_beta": "survival",
     "i_brace_coefficients": "asymptotics",
     "i_by_quadrature": "quadrature",

@@ -38,7 +38,7 @@ from collections import namedtuple
 
 from .errors import NearZeroAmplitude
 from .model import _TAU_FLOOR, BreitWignerModel, _phase, check_beta, check_tau
-from .special import exp_integral_e1_scaled
+from ._kernels_py import exp_integral_e1_scaled
 
 _TWO_PI = 2.0 * math.pi
 

@@ -110,7 +110,7 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "bwdecay")))
 _LATE_TIME = ["bwdecay", "bwdecay.asymptotics", "bwdecay.crossover", "bwdecay.errors",
               "bwdecay.model"]
 _ROUTES = ["bwdecay._kernels_py", "bwdecay.quadrature", "bwdecay.scan",
-           "bwdecay.special", "bwdecay.survival"]
+           "bwdecay.survival"]
 
 
 def _bits(row):
@@ -317,8 +317,8 @@ def test_series_makes_at_most_33_horner_steps():
 
 
 def test_series_makes_at_most_124_horner_steps_out_to_its_radius():
-    # where e1_scaled sends 4 < |z| < 50, near the negative real axis,
-    # and along the pole image z- = -tau/2 - i beta tau of beta = 1e-3
+    # where the E1 entry point sends 4 < |z| < 50, near the negative real
+    # axis, and along the pole image z- = -tau/2 - i beta tau of beta = 1e-3
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "perfbench", "tracing.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
@@ -334,7 +334,7 @@ def test_series_makes_at_most_124_horner_steps_out_to_its_radius():
 
 
 def test_series_sees_only_arguments_it_serves_to_working_precision(monkeypatch):
-    # e1_scaled sends z to the series exactly where |z| < 50 and
+    # the E1 entry point sends z to the series exactly where |z| < 50 and
     # |z| + Re z <= 4, whatever the scan or argument
     seen = []
     series = _kernels_py.e1_series
@@ -348,7 +348,7 @@ def test_series_sees_only_arguments_it_serves_to_working_precision(monkeypatch):
                                      complex(4.0, 0.0), complex(-49.9, 0.01),
                                      complex(-50.0, 0.01)]
     for z in zs:
-        _kernels_py.e1_scaled(z)
+        _kernels_py.exp_integral_e1_scaled(z)
     served = [z for z in zs if abs(z) < 50.0 and abs(z) + z.real <= 4.0]
     assert seen == served and len(served) > len(zs) // 3
     assert any(abs(z) > 4.0 for z in served)

@@ -148,7 +148,7 @@ def test_import_graph_is_layered():
     assert graph["__init__"] == set(), "the package must import no submodule eagerly"
     # the paper's late-time results need neither the exact nor the
     # quadrature route, nor the E1 kernels behind them
-    routes = {"scan", "survival", "quadrature", "special", "_kernels_py"}
+    routes = {"scan", "survival", "quadrature", "_kernels_py"}
     for name in ("crossover", "asymptotics", "model", "errors"):
         assert not _reach(graph, name) & routes, name
 

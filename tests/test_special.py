@@ -13,8 +13,8 @@ from scipy.integrate import quad
 import scipy.special
 
 from bwdecay import _kernels_py
+from bwdecay._kernels_py import exp_integral_e1_scaled
 from bwdecay.errors import DomainError
-from bwdecay.special import exp_integral_e1_scaled
 
 
 # frozen from mpmath.e1 at 50 significant digits
@@ -252,7 +252,7 @@ def test_term_table_floor_lies_under_e1(q):
 
 @pytest.mark.parametrize("angle", [0.0, 0.3, -0.3, 0.7, -0.7, 1.1, -1.1, 1.5, -1.5])
 def test_series_and_fraction_agree_where_the_spread_reaches_four(angle):
-    # on |z| + Re z = 4 e1_scaled switches between the kernels
+    # on |z| + Re z = 4 the entry point switches between the kernels
     z = cmath.rect(4.0 / (1.0 + math.cos(angle)), angle)
     series = _kernels_py.e1_series(z)
     fraction = cmath.exp(-z) * _kernels_py.e1_cf_scaled(z)
