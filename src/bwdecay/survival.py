@@ -32,13 +32,14 @@ observables, so the phase origin is documented rather than load-bearing.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from collections import namedtuple
 
 from .errors import NearZeroAmplitude
 from .model import _TAU_FLOOR, BreitWignerModel, _phase, check_beta, check_tau
-from ._kernels_py import exp_integral_e1_scaled
+from ._kernels_py import EULER_GAMMA, exp_integral_e1_scaled
 
 _TWO_PI = 2.0 * math.pi
 
@@ -133,10 +134,18 @@ def _pieces(beta: float,
     # -i pi e^{-tau/2}, and the power tails; I = i_pole + i_tail and
     # J = j_pole + j_tail.
     phase = _phase(beta, tau)
-    # G at the two pole images; z+ sits in the fourth quadrant, z- in
-    # the third, both a fixed angle arctan(2 beta) away from the cut
-    g_plus = exp_integral_e1_scaled(complex(0.5 * tau, -beta * tau))
-    g_minus = exp_integral_e1_scaled(complex(-0.5 * tau, -beta * tau))
+    if tau * math.hypot(beta, 0.5) < 1e-17:
+        # |z+-| < 1e-17, where G(z) = -gamma - log z to O(z) relative;
+        # log z+- = log tau + log(+-1/2 - i beta) keeps the bits that
+        # forming z+- loses below tau ~ 1e-308
+        g_zero = -EULER_GAMMA - math.log(tau)
+        g_plus = g_zero - cmath.log(complex(0.5, -beta))
+        g_minus = g_zero - cmath.log(complex(-0.5, -beta))
+    else:
+        # G at the two pole images; z+ sits in the fourth quadrant, z- in
+        # the third, both a fixed angle arctan(2 beta) away from the cut
+        g_plus = exp_integral_e1_scaled(complex(0.5 * tau, -beta * tau))
+        g_minus = exp_integral_e1_scaled(complex(-0.5 * tau, -beta * tau))
     decay = math.exp(-0.5 * tau)
     return (phase, _TWO_PI * decay, 1j * phase * (g_minus - g_plus),
             -1j * math.pi * decay, 0.5 * phase * (g_plus + g_minus))

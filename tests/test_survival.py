@@ -128,6 +128,26 @@ def test_exact_route_matches_mpmath_at_small_beta(beta):
             assert abs(got - ref) <= 1e-12 * abs(ref), (tau, got, ref)
 
 
+def test_exact_route_matches_mpmath_at_tiny_tau():
+    # below tau ~ 1e-308 the parts of z+- = +-tau/2 - i beta tau lose
+    # bits, and at tau = 5e-324 both round to 0; where |z+-| < 1e-17 the
+    # route takes the small-z limit of G from tau and beta instead
+    taus = [5e-324, 1e-323, 1e-321, 1e-315, 1e-310, 1e-308, 1e-300, 1e-250,
+            1e-200, 1e-150, 1e-100, 1e-50, 1e-20, 1e-16]
+    for beta in (1e-300, 1e-8, 0.3, 2.0, 100.0, 1e8, 1e150):
+        model = BreitWignerModel.from_beta(beta)
+        for tau in taus:
+            i_val, j_val = mp_integrals(beta, tau, beta_tau=beta * tau, digits=60)
+            ratio = j_val / i_val
+            got = effective_hamiltonian(model, tau)
+            want = (beta + ratio.real, -2.0 * ratio.imag)
+            for value, ref in zip((got.energy, got.rate), want):
+                assert abs(value - ref) <= 1e-12 * abs(ref), (beta, tau, value, ref)
+    assert all(map(math.isfinite,
+                   effective_hamiltonian(BreitWignerModel.from_beta(0.3), 5e-324)))
+    assert cmath.isfinite(j_beta(0.3, 5e-324))
+
+
 def test_j_is_time_derivative_of_i():
     # J = i * dI/dtau, via 5-point central differences
     beta, tau, h = 2.0, 5.0, 1e-4
