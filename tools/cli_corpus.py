@@ -1,15 +1,15 @@
 """Record what the command line prints for a fixed list of calls.
 
-Runs 153 argument lists through ``bwdecay.cli.main`` in one process
+Runs 154 argument lists through ``bwdecay.cli.main`` in one process
 and writes, for each, its stdout, stderr and exit code to a JSON file.
 The list covers ``info``, ``crossover`` at every order, and the exact,
 asymptotic and quadrature scans in CSV and JSON over a spread of beta,
 quadrature scans at beta = 0.001, 1e8 and 1e153, an asymptotic scan at
 beta = 1e200 and a cross-over at 1.5e154, where D = beta**2 + 1/4
 overflows, exact, quadrature and asymptotic scans at beta = 1e-323 or
-1e-12, two scans of 8,193 rows, to stdout and to an ``--out`` file,
-``info`` and ``crossover`` in physical units, and the usage and
-numerical error paths.  An uncaught exception is recorded as exit 1,
+1e-12, an exact scan at subnormal tau, two scans of 8,193 rows, to
+stdout and to an ``--out`` file, ``info`` and ``crossover`` in physical
+units, and the usage and numerical error paths.  An uncaught exception is recorded as exit 1,
 with its type and message on stderr, and the corpus goes on.  A call
 with ``--out`` writes to a file in a temporary directory, and its record
 also holds the file's contents.
@@ -86,6 +86,12 @@ SMALL_BETA = (
      "--tau-max", "1e8", "--points", "3"),
 )
 
+# subnormal tau, where forming z+- = +-tau/2 - i beta tau would lose bits
+TINY_TAU = (
+    ("scan", "--beta", "0.3", "--grid", "linear", "--tau-min", "0", "--tau-max", "5e-323",
+     "--points", "3"),
+)
+
 # exact scans long enough that the CLI evaluates and renders them in
 # seventeen slices, the last one row long
 LONG_SCANS = (
@@ -155,7 +161,8 @@ def corpus() -> list:
             for output in ("csv", "json"):
                 calls.append(("scan", *model, *scan, "--output", output))
     return (calls + list(ORACLE_SCANS) + list(HUGE_BETA) + list(SMALL_BETA)
-            + list(LONG_SCANS) + list(OUT_SCANS) + list(UNIT_CALLS) + list(ERRORS))
+            + list(TINY_TAU) + list(LONG_SCANS) + list(OUT_SCANS) + list(UNIT_CALLS)
+            + list(ERRORS))
 
 
 def run(argv, out_dir) -> dict:
