@@ -1,6 +1,6 @@
 """Record what the command line prints for a fixed list of calls.
 
-Runs 154 argument lists through ``bwdecay.cli.main`` in one process
+Runs 156 argument lists through ``bwdecay.cli.main`` in one process
 and writes, for each, its stdout, stderr and exit code to a JSON file.
 The list covers ``info``, ``crossover`` at every order, and the exact,
 asymptotic and quadrature scans in CSV and JSON over a spread of beta,
@@ -8,9 +8,11 @@ quadrature scans at beta = 0.001, 1e8 and 1e153, an asymptotic scan at
 beta = 1e200 and a cross-over at 1.5e154, where D = beta**2 + 1/4
 overflows, exact, quadrature and asymptotic scans at beta = 1e-323 or
 1e-12, an exact scan at subnormal tau, two scans of 8,193 rows, to
-stdout and to an ``--out`` file, ``info`` and ``crossover`` in physical
-units, and the usage and numerical error paths.  An uncaught exception is recorded as exit 1,
-with its type and message on stderr, and the corpus goes on.  A call
+stdout and to an ``--out`` file, two scans of 1,025 rows on a linear
+grid and on a log grid whose end ratio overflows, ``info`` and
+``crossover`` in physical units, and the usage and numerical error
+paths.  An uncaught exception is recorded as exit 1, with its type and
+message on stderr, and the corpus goes on.  A call
 with ``--out`` writes to a file in a temporary directory, and its record
 also holds the file's contents.
 Two trees that print the same bytes give the same file, so a refactor
@@ -104,6 +106,16 @@ LONG_SCANS = (
 OUT = "OUT"
 OUT_SCANS = tuple(call + ("--out", OUT) for call in LONG_SCANS)
 
+# three slices each of the two grid formulas LONG_SCANS leaves out: a
+# linear grid from 0, and a log grid whose ratio tau_max / tau_min
+# overflows, so that it steps in logs
+GRID_SCANS = (
+    ("scan", "--beta", "2", "--grid", "linear", "--tau-min", "0", "--tau-max", "40",
+     "--points", "1025", "--output", "json"),
+    ("scan", "--beta", "2", "--tau-min", "1e-310", "--tau-max", "1e8",
+     "--points", "1025"),
+)
+
 # models in physical units, widths 1e-170 and 1e200 among them, where
 # gamma0**2 alone under- or overflows
 UNITS = (
@@ -161,7 +173,8 @@ def corpus() -> list:
             for output in ("csv", "json"):
                 calls.append(("scan", *model, *scan, "--output", output))
     return (calls + list(ORACLE_SCANS) + list(HUGE_BETA) + list(SMALL_BETA)
-            + list(TINY_TAU) + list(LONG_SCANS) + list(OUT_SCANS) + list(UNIT_CALLS)
+            + list(TINY_TAU) + list(LONG_SCANS) + list(OUT_SCANS) + list(GRID_SCANS)
+            + list(UNIT_CALLS)
             + list(ERRORS))
 
 
