@@ -63,23 +63,24 @@ def _json_value(value) -> str:
 # One scan row as a CSV line, for tau > 0 where every column but the last
 # (method) is a float, and as a json.dumps(..., indent=2) member of the
 # "rows" list: any row through _json_value, and a row of six finite
-# floats with "{!r}", which is float.__repr__, the spelling json uses.
-# The finite row's template ends in the method, spelled once per scan
-# (scan_rows stamps every row with it), so format leaves the row's
-# seventh field unread.
-_CSV_ROW = ",".join(["{:.17g}"] * (len(ScanRow._fields) - 1) + ["{}\n"])
+# floats with "%r", which is float.__repr__, the spelling json uses.
+# "%.17g" spells every double as _fmt does, and a % template fills a row
+# faster than str.format.  The finite row's template ends in the method,
+# spelled once per scan (scan_rows stamps every row with it), so it takes
+# the row's first six fields.
+_CSV_ROW = ",".join(["%.17g"] * (len(ScanRow._fields) - 1) + ["%s\n"])
 _JSON_KEYS = ["      " + json.dumps(name) + ": " for name in ScanRow._fields]
 _JSON_ROW = "    {{\n" + ",\n".join(key + "{}" for key in _JSON_KEYS) + "\n    }}"
-_JSON_FINITE_ROW = "    {{\n" + "".join(
-    key + "{!r},\n" for key in _JSON_KEYS[:-1]) + _JSON_KEYS[-1]
+_JSON_FINITE_ROW = "    {\n" + "".join(
+    key + "%r,\n" for key in _JSON_KEYS[:-1]) + _JSON_KEYS[-1]
 
 
 def _json_rows(rows, method: str) -> str:
-    finite = _JSON_FINITE_ROW + json.dumps(method) + "\n    }}"
+    finite = _JSON_FINITE_ROW + json.dumps(method).replace("%", "%%") + "\n    }"
     # a sum of six floats is finite only if each is; None (tau = 0)
     # comes in kappa, and a row may fall back on overflow of the sum
     return ",\n".join(
-        finite.format(*r) if r[2] is not None
+        finite % r[:6] if r[2] is not None
         and -_INF < r[0] + r[1] + r[2] + r[3] + r[4] + r[5] < _INF
         else _JSON_ROW.format(*map(_json_value, r)) for r in rows)
 
@@ -221,7 +222,7 @@ def _spool_rows(spool, args, model: BreitWignerModel, taus) -> int:
         if csv:
             # the tau = 0 row has empty Hamiltonian fields
             spool.write("".join([
-                _CSV_ROW.format(*r) if r.kappa is not None else
+                _CSV_ROW % r if r.kappa is not None else
                 ",".join([_fmt(v) for v in r[:-1]] + [r.method]) + "\n"
                 for r in rows]))
         else:
@@ -294,8 +295,6 @@ def _add_output_arguments(sub: argparse.ArgumentParser, default_format: str) -> 
                      help="output format (default {})".format(default_format))
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="write to PATH instead of standard output")
-    sub.add_argument("--no-meta", action="store_true",
-                     help="suppress the metadata header line / object")
 
 
 @functools.cache
@@ -326,6 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="series truncation for --method asymptotic, "
                            "1..{}".format(SERIES_TERMS))
     _add_output_arguments(scan, "csv")
+    scan.add_argument("--no-meta", action="store_true",
+                      help="suppress the metadata header line / object")
 
     cross = subs.add_parser("crossover",
                             help="solve for the exponential/power-law cross-over time")

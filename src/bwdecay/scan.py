@@ -13,8 +13,10 @@ plain records; rendering belongs to the CLI.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
-from itertools import pairwise
+from collections.abc import Sequence
+from itertools import chain, pairwise
 
 from .asymptotics import (AMPLITUDE_TERMS, SERIES_TERMS, amplitude_late,
                           energy_series, ratio_series)
@@ -40,13 +42,55 @@ to the values.
 """
 
 
-def time_grid(tau_min: float, tau_max: float, points: int, kind: str = "log") -> list:
+class _Grid(Sequence):
+    """The points of a time grid, each formed from its index when asked for.
+
+    A read-only sequence, not a list: ``len``, int indices (negative
+    ones too), slices, which return lists, and iteration.  Its memory
+    does not grow with its length.
+    """
+
+    __slots__ = ("_lo", "_hi", "_last", "_kind", "_form")
+
+    def __init__(self, lo: float, hi: float, points: int, kind: str, form):
+        self._lo, self._hi, self._last, self._kind = lo, hi, points - 1, kind
+        self._form = form  # point i from i, for 0 < i < points - 1
+
+    def __len__(self) -> int:
+        return self._last + 1
+
+    def __getitem__(self, index):
+        lo, hi, last, form = self._lo, self._hi, self._last, self._form
+        if isinstance(index, slice):
+            return [form(i) if 0 < i < last else lo if i == 0 else hi
+                    for i in range(*index.indices(last + 1))]
+        i = operator.index(index)
+        if i < 0:
+            i += last + 1
+        if not 0 <= i <= last:
+            raise IndexError("time grid index out of range")
+        return form(i) if 0 < i < last else lo if i == 0 else hi
+
+    def __iter__(self):
+        return chain((self._lo,), map(self._form, range(1, self._last)),
+                     (self._hi,))
+
+    def __repr__(self) -> str:
+        return "time_grid({!r}, {!r}, {}, {!r})".format(
+            self._lo, self._hi, self._last + 1, self._kind)
+
+
+def time_grid(tau_min: float, tau_max: float, points: int,
+              kind: str = "log") -> Sequence:
     """Strictly increasing tau grid, linear or logarithmic.
 
-    The endpoints are produced exactly (no accumulated stepping error),
-    so repeated calls with the same arguments give identical grids.  A
-    grid whose points would repeat in double precision raises
-    DomainError.
+    Returns a read-only sequence of ``points`` floats that forms each
+    point from its index when it is asked for, so the grid's memory does
+    not grow with its length; ``list(time_grid(...))`` makes a list.
+    Both ends are ``tau_min`` and ``tau_max`` exactly, and an inner point
+    depends on its index alone (no accumulated stepping error), so equal
+    arguments give equal grids.  A grid whose points would repeat in
+    double precision raises DomainError before any point is used.
     """
     check_int("points", points, 2)
     if kind not in ("linear", "log"):
@@ -58,22 +102,28 @@ def time_grid(tau_min: float, tau_max: float, points: int, kind: str = "log") ->
         raise DomainError(
             "tau_max must exceed tau_min, got [{!r}, {!r}]".format(tau_min, tau_max)
         )
+    last = points - 1
     if kind == "linear":
-        step = (tau_max - tau_min) / (points - 1)
-        grid = [tau_min + i * step for i in range(points)]
+        step = (tau_max - tau_min) / last
+
+        def form(i):
+            return tau_min + i * step
     else:
         ratio = tau_max / tau_min
         if ratio == math.inf:
             # the ratio overflows, though both ends are finite: step in logs
             lo = math.log(tau_min)
             span = math.log(tau_max) - lo
-            grid = [math.exp(lo + i / (points - 1) * span) for i in range(points)]
+
+            def form(i):
+                return math.exp(lo + i / last * span)
         else:
-            grid = [tau_min * ratio ** (i / (points - 1)) for i in range(points)]
-    grid[0] = tau_min
-    grid[-1] = tau_max
+            def form(i):
+                return tau_min * ratio ** (i / last)
+    grid = _Grid(tau_min, tau_max, points, kind, form)
     # too many points for the span in doubles (say near the subnormals, or
-    # 100 points on [1, 1 + 1e-15]) round to repeats; a scan would print them
+    # 100 points on [1, 1 + 1e-15]) round to repeats; a scan would print
+    # them.  pairwise keeps only the previous point.
     if any(b <= a for a, b in pairwise(grid)):
         raise DomainError(
             "a {} grid of {} points on [{!r}, {!r}] repeats points in double "
@@ -118,12 +168,17 @@ def scan_rows(model: BreitWignerModel, taus, method: str = "exact",
               terms: int = SERIES_TERMS) -> list:
     """Evaluate every grid point with the chosen method, in grid order.
 
+    Returns a list with one row per point.  A ``time_grid`` holds no
+    points, but the list holds every row, so the CLI passes a long grid
+    a slice at a time and keeps one slice of rows in memory.
+
     Parameters
     ----------
     model : BreitWignerModel
     taus : iterable of float
-        Dimensionless times; tau = 0 is representable only by the exact
-        and quadrature methods (and yields None Hamiltonian fields).
+        Dimensionless times, such as a ``time_grid`` or a slice of one;
+        tau = 0 is representable only by the exact and quadrature
+        methods (and yields None Hamiltonian fields).
     method : {"exact", "asymptotic", "quadrature"}
     terms : int, optional
         Series truncation for the asymptotic method (1..5; the

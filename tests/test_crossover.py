@@ -281,4 +281,4 @@ def test_refusal_names_the_overflowed_d(beta, order):
 def test_bracket_grid_is_built_once():
     grid = crossover._bracket_grid()
     assert grid is crossover._bracket_grid()
-    assert list(grid) == time_grid(1.0, 1.0e4, 481, "log")
+    assert list(grid) == list(time_grid(1.0, 1.0e4, 481, "log"))

@@ -17,6 +17,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from collections.abc import Sequence
 
 import pytest
 
@@ -58,17 +59,51 @@ class TestTimeGrid:
         assert all(b > a for a, b in zip(g, g[1:]))
 
     def test_the_repeat_check_copies_nothing(self):
-        # the check walks neighbouring pairs in place; a sliced copy of
-        # the grid's references put 0.80 MB on top of a 3.20 MB grid
+        # the check walks the points once, keeping only the previous one;
+        # a list of these points alone was 3.20 MB
         time_grid(0.01, 40.0, 2, "log")
         tracemalloc.start()
         try:
-            grid = time_grid(0.01, 40.0, 100000, "log")
+            time_grid(0.01, 40.0, 100000, "log")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        grid_bytes = sys.getsizeof(grid) + sum(map(sys.getsizeof, grid))
-        assert peak - grid_bytes < 0.1e6, (peak, grid_bytes)
+        assert peak < 0.1e6, peak
+
+    def test_memory_does_not_grow_with_length(self):
+        # each point is formed from its index when it is asked for, so
+        # building a grid and walking it in the CLI's slices peaks alike
+        # at 4,000 and at 1,000,000 points, where a list of the points
+        # alone was 32 MB
+        def traced_peak(points):
+            tracemalloc.start()
+            try:
+                grid = time_grid(0.01, 40.0, points, "log")
+                for i in range(0, len(grid), cli._CHUNK):
+                    grid[i:i + cli._CHUNK]
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(2)
+        small, large = traced_peak(4000), traced_peak(1_000_000)
+        assert large - small < 0.01e6, (small, large)
+
+    def test_is_a_read_only_sequence(self):
+        g = time_grid(0.01, 40.0, 9, "log")
+        assert isinstance(g, Sequence) and not isinstance(g, list)
+        points = list(g)
+        assert len(points) == len(g) == 9
+        assert [g[i] for i in range(-9, 9)] == points * 2
+        assert g[2:7:2] == points[2:7:2] and g[::-1] == points[::-1]
+        assert isinstance(g[:], list)
+        for i in (9, -10):
+            with pytest.raises(IndexError):
+                g[i]
+        with pytest.raises(TypeError):
+            g[1.0]
+        with pytest.raises(TypeError):
+            g[0] = 0.5
 
     def test_log_grid_over_an_overflowing_ratio_is_geometric(self):
         g = time_grid(1e-200, 1e200, 5, "log")
@@ -218,6 +253,16 @@ class TestScanCommand:
         assert meta == []
         assert header.startswith("tau,")
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("command", ["info", "crossover"])
+    def test_no_meta_is_a_scan_option(self, command):
+        # info and crossover print one record, with no metadata to drop
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main([command, "--beta", "2", "--no-meta"])
+        assert exit_.value.code == 2
+        assert err.getvalue().endswith("error: unrecognized arguments: --no-meta\n")
 
     def test_quadrature_route_agrees_with_exact(self, run_cli):
         base = ("scan", "--beta", "2", "--tau-min", "0.5", "--tau-max", "20",
@@ -372,15 +417,12 @@ def _cli_stdout(argv):
 
 def _traced_long_scan(tmp_path, output, to_file):
     """Run an 8,193-row scan under tracemalloc, to stdout (redirected to a
-    file) or to ``--out``; return its traced peak, the size of its grid
-    and the size of its output, in bytes."""
+    file) or to ``--out``; return its traced peak and the size of its
+    output, in bytes."""
     target = tmp_path / "scan.out"
     argv = ["scan", "--beta", "2", "--points", "8193", "--output", output]
     if to_file:
         argv += ["--out", str(target)]
-    grid = time_grid(0.01, 40.0, 8193, "log")
-    grid_bytes = sys.getsizeof(grid) + sum(map(sys.getsizeof, grid))
-    del grid
 
     def scan(argv):
         with open(tmp_path / "stdout.out" if to_file else target, "w",
@@ -397,7 +439,7 @@ def _traced_long_scan(tmp_path, output, to_file):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, grid_bytes, target.stat().st_size
+    return peak, target.stat().st_size
 
 
 RENDER_SCANS = [
@@ -455,7 +497,7 @@ class TestScanRendering:
 
     @pytest.mark.parametrize("output", ["csv", "json"])
     def test_scan_holds_its_output_once(self, monkeypatch, tmp_path, output):
-        # a scan keeps its grid and the rows and text of one slice, and
+        # a scan keeps the rows and text of one slice, and
         # spools the rest to a file, not every row and several copies of
         # the text; the traced peak stays below twice the output's size
         monkeypatch.setattr(cli, "_CHUNK", 256)
@@ -479,28 +521,24 @@ class TestScanRendering:
     @pytest.mark.parametrize("to_file", [False, True])
     def test_a_long_scan_holds_one_slice(self, monkeypatch, tmp_path, output,
                                          to_file):
-        # 8,193 rows in slices of 256: besides its grid, the scan holds
-        # one slice of rows and text and one block of the spool, so the
-        # traced peak stays below the grid plus a quarter of the output,
-        # to stdout as to --out.  The grid of Python floats is 25% of the
-        # CSV output by itself.
+        # 8,193 rows in slices of 256: the scan holds one slice of rows
+        # and text and one block of the spool, and forms grid points as
+        # the slices ask for them, so the traced peak stays below a
+        # quarter of the output, to stdout as to --out
         monkeypatch.setattr(cli, "_CHUNK", 256)
-        peak, grid_bytes, size = _traced_long_scan(tmp_path, output, to_file)
+        peak, size = _traced_long_scan(tmp_path, output, to_file)
         assert size > 10**6
-        assert peak < grid_bytes + size / 4, (
-            "peak {} bytes for a {}-byte grid and {} bytes of output".format(
-                peak, grid_bytes, size))
+        assert peak < size / 4, "peak {} bytes for {} bytes of output".format(
+            peak, size)
 
     def test_the_default_slice_is_small(self, tmp_path):
         # the JSON scan to --out in slices of the default size, seventeen
-        # of them, the last one row long.  Above its grid the traced peak
-        # was 0.43 MB in slices of 512 rows, 0.83 MB in slices of 1,024
-        # and 3.23 MB in slices of 4,096.  The bound is 2.3 times the
-        # first and under a third of the last.
-        peak, grid_bytes, size = _traced_long_scan(tmp_path, "json", True)
-        assert peak - grid_bytes < 1.0e6, (
-            "peak {} bytes above a {}-byte grid, {} bytes of output".format(
-                peak - grid_bytes, grid_bytes, size))
+        # of them, the last one row long.  The traced peak was 0.44 MB in
+        # slices of 512 rows, 0.86 MB in slices of 1,024 and 3.33 MB in
+        # slices of 4,096.  The bound is 2.3 times the first and under a
+        # third of the last.
+        peak, size = _traced_long_scan(tmp_path, "json", True)
+        assert peak < 1.0e6, "peak {} bytes, {} bytes of output".format(peak, size)
 
     @pytest.mark.parametrize("to_file", [False, True])
     def test_a_failure_in_a_late_slice_writes_nothing(self, monkeypatch, tmp_path,
@@ -546,7 +584,7 @@ class TestScanRendering:
 
     @pytest.mark.parametrize("method", ["exact", "asymptotic", "quadrature"])
     def test_json_rows_render_as_json_dumps(self, monkeypatch, method):
-        # finite rows take the "{!r}" template, the rest _json_value; both
+        # finite rows take the "%r" template, the rest _json_value; both
         # must give json.dumps(..., indent=2) byte for byte.  Every row of
         # a scan carries the scan's method, as scan_rows stamps it.
         huge = 1.7976931348623157e308

@@ -195,8 +195,8 @@ def test_survival_probability_has_the_bits_of_the_amplitude(beta):
     # survival_probability is amplitude(...).probability; no second path
     # to |a|**2 may come back with other digits
     m = BreitWignerModel.from_beta(beta)
-    taus = ([0.0] + time_grid(0.01, 40.0, 97, "log")
-            + time_grid(40.0, 1e8, 61, "log"))
+    taus = [0.0, *time_grid(0.01, 40.0, 97, "log"),
+            *time_grid(40.0, 1e8, 61, "log")]
     for tau in taus:
         assert survival_probability(m, tau).hex() \
             == amplitude(m, tau).probability.hex(), tau
