@@ -50,10 +50,10 @@ class _Grid(Sequence):
     does not grow with its length.
     """
 
-    __slots__ = ("_lo", "_hi", "_last", "_kind", "_form")
+    __slots__ = ("_lo", "_hi", "_last", "_form")
 
-    def __init__(self, lo: float, hi: float, points: int, kind: str, form):
-        self._lo, self._hi, self._last, self._kind = lo, hi, points - 1, kind
+    def __init__(self, lo: float, hi: float, points: int, form):
+        self._lo, self._hi, self._last = lo, hi, points - 1
         self._form = form  # point i from i, for 0 < i < points - 1
 
     def __len__(self) -> int:
@@ -74,10 +74,6 @@ class _Grid(Sequence):
     def __iter__(self):
         return chain((self._lo,), map(self._form, range(1, self._last)),
                      (self._hi,))
-
-    def __repr__(self) -> str:
-        return "time_grid({!r}, {!r}, {}, {!r})".format(
-            self._lo, self._hi, self._last + 1, self._kind)
 
 
 def time_grid(tau_min: float, tau_max: float, points: int,
@@ -120,7 +116,7 @@ def time_grid(tau_min: float, tau_max: float, points: int,
         else:
             def form(i):
                 return tau_min * ratio ** (i / last)
-    grid = _Grid(tau_min, tau_max, points, kind, form)
+    grid = _Grid(tau_min, tau_max, points, form)
     # too many points for the span in doubles (say near the subnormals, or
     # 100 points on [1, 1 + 1e-15]) round to repeats; a scan would print
     # them.  pairwise keeps only the previous point.
