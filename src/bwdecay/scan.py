@@ -43,12 +43,8 @@ to the values.
 
 
 class _Grid(Sequence):
-    """The points of a time grid, each formed from its index when asked for.
-
-    A read-only sequence, not a list: ``len``, int indices (negative
-    ones too), slices, which return lists, and iteration.  Its memory
-    does not grow with its length.
-    """
+    """What time_grid returns: its points, each formed from its index when
+    asked for; int indices may be negative, and slices are lists."""
 
     __slots__ = ("_lo", "_hi", "_last", "_form")
 

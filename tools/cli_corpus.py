@@ -174,8 +174,7 @@ def corpus() -> list:
                 calls.append(("scan", *model, *scan, "--output", output))
     return (calls + list(ORACLE_SCANS) + list(HUGE_BETA) + list(SMALL_BETA)
             + list(TINY_TAU) + list(LONG_SCANS) + list(OUT_SCANS) + list(GRID_SCANS)
-            + list(UNIT_CALLS)
-            + list(ERRORS))
+            + list(UNIT_CALLS) + list(ERRORS))
 
 
 def run(argv, out_dir) -> dict:
