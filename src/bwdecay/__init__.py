@@ -39,7 +39,7 @@ _EXPORTS = {
     "ratio_series": "asymptotics",
     "scan_rows": "scan",
     "survival_probability": "survival",
-    "time_grid": "scan",
+    "time_grid": "model",
 }
 
 __all__ = sorted(_EXPORTS)

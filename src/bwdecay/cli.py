@@ -49,21 +49,10 @@ def _fmt(value) -> str:
     return "{:.17g}".format(value)
 
 
-def _json_value(value) -> str:
-    """``value`` spelled as ``json.dumps`` spells it.
-
-    json spells a finite float with ``float.__repr__``; everything else
-    (None, NaN, the infinities, strings) goes through json itself.
-    """
-    if value.__class__ is float and -_INF < value < _INF:
-        return float.__repr__(value)
-    return json.dumps(value)
-
-
 # One scan row as a CSV line, for tau > 0 where every column but the last
 # (method) is a float, and as a json.dumps(..., indent=2) member of the
-# "rows" list: any row through _json_value, and a row of six finite
-# floats with "%r", which is float.__repr__, the spelling json uses.
+# "rows" list: any row with json.dumps field by field, and a row of six
+# finite floats with "%r", which is float.__repr__, the spelling json uses.
 # "%.17g" spells every double as _fmt does, and a % template fills a row
 # faster than str.format.  The finite row's template ends in the method,
 # spelled once per scan (scan_rows stamps every row with it), so it takes
@@ -82,7 +71,7 @@ def _json_rows(rows, method: str) -> str:
     return ",\n".join(
         finite % r[:6] if r[2] is not None
         and -_INF < r[0] + r[1] + r[2] + r[3] + r[4] + r[5] < _INF
-        else _JSON_ROW.format(*map(_json_value, r)) for r in rows)
+        else _JSON_ROW.format(*map(json.dumps, r)) for r in rows)
 
 
 def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:

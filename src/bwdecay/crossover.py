@@ -27,7 +27,7 @@ from collections import namedtuple
 from .asymptotics import (AMPLITUDE_TERMS, AsymptoticRangeWarning, amplitude_late,
                           i_brace_coefficients)
 from .errors import BracketError, ToleranceNotMet
-from .model import BreitWignerModel, check_int, check_real
+from .model import BreitWignerModel, check_int, check_real, time_grid
 
 _BRACKET_LO = 1.0
 _BRACKET_HI = 1.0e4
@@ -51,11 +51,9 @@ class CrossoverResult(namedtuple(
 
 @functools.cache
 def _bracket_grid() -> tuple:
-    # the log grid every solve isolates its bracket on, built by the first;
-    # scan.time_grid's expression, without loading scan and its routes
-    ratio = _BRACKET_HI / _BRACKET_LO
-    return tuple(_BRACKET_LO * ratio ** (i / (_SCAN_POINTS - 1))
-                 for i in range(_SCAN_POINTS))
+    # time_grid(1, 1e4, 481) itself, the log grid every solve isolates its
+    # bracket on, built by the first as a tuple for fast indexing
+    return tuple(time_grid(_BRACKET_LO, _BRACKET_HI, _SCAN_POINTS))
 
 
 def _decreasing_from(beta: float, order: int, grid) -> int:

@@ -11,15 +11,20 @@ the tau <-> t maps, and the density itself.  It also owns the domain of
 the dimensionless pair: :func:`check_beta` and :func:`check_tau` are the
 one validator of each for the whole package, and :func:`check_real` is
 the one check of every other real-valued parameter.  :func:`_phase`
-is the one place the phase exp(i beta tau) of the closed forms is formed.
+is the one place the phase exp(i beta tau) of the closed forms is formed,
+and :func:`time_grid` the one tau grid, which scans and the cross-over
+solve walk.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property
+from itertools import chain, pairwise
 
 from .errors import DomainError
 
@@ -76,6 +81,90 @@ def _phase(beta: float, tau: float) -> complex:
             "beta * tau overflows double range at beta = {!r}, tau = {!r}; "
             "the phase exp(i beta tau) is undefined there".format(beta, tau))
     return cmath.exp(1j * beta_tau)
+
+
+class _Grid(Sequence):
+    """What time_grid returns: its points, each formed from its index when
+    asked for; int indices may be negative, and slices are lists."""
+
+    __slots__ = ("_lo", "_hi", "_last", "_form")
+
+    def __init__(self, lo: float, hi: float, points: int, form):
+        self._lo, self._hi, self._last = lo, hi, points - 1
+        self._form = form  # point i from i, for 0 < i < points - 1
+
+    def __len__(self) -> int:
+        return self._last + 1
+
+    def __getitem__(self, index):
+        lo, hi, last, form = self._lo, self._hi, self._last, self._form
+        if isinstance(index, slice):
+            return [form(i) if 0 < i < last else lo if i == 0 else hi
+                    for i in range(*index.indices(last + 1))]
+        i = operator.index(index)
+        if i < 0:
+            i += last + 1
+        if not 0 <= i <= last:
+            raise IndexError("time grid index out of range")
+        return form(i) if 0 < i < last else lo if i == 0 else hi
+
+    def __iter__(self):
+        return chain((self._lo,), map(self._form, range(1, self._last)),
+                     (self._hi,))
+
+
+def time_grid(tau_min: float, tau_max: float, points: int,
+              kind: str = "log") -> Sequence:
+    """Strictly increasing tau grid, linear or logarithmic.
+
+    Returns a read-only sequence of ``points`` taus that forms each
+    point from its index when it is asked for, so the grid's memory does
+    not grow with its length; ``list(time_grid(...))`` makes a list.
+    The ends are the arguments ``tau_min`` and ``tau_max`` themselves (an
+    int stays an int), and the inner points are floats that depend on
+    their index alone (no accumulated stepping error), so equal arguments
+    give equal grids.  A grid whose points would repeat in double
+    precision raises DomainError before any point is used.
+    """
+    check_int("points", points, 2)
+    if kind not in ("linear", "log"):
+        raise DomainError("grid kind must be 'linear' or 'log', got {!r}".format(kind))
+    check_tau(tau_min, hint=" (tau_min of a {} grid)".format(kind),
+              zero_ok=kind == "linear")
+    check_tau(tau_max, hint=" (tau_max)")
+    if tau_max <= tau_min:
+        raise DomainError(
+            "tau_max must exceed tau_min, got [{!r}, {!r}]".format(tau_min, tau_max)
+        )
+    last = points - 1
+    if kind == "linear":
+        step = (tau_max - tau_min) / last
+
+        def form(i):
+            return tau_min + i * step
+    else:
+        ratio = tau_max / tau_min
+        if ratio == math.inf:
+            # the ratio overflows, though both ends are finite: step in logs
+            lo = math.log(tau_min)
+            span = math.log(tau_max) - lo
+
+            def form(i):
+                return math.exp(lo + i / last * span)
+        else:
+            def form(i):
+                return tau_min * ratio ** (i / last)
+    grid = _Grid(tau_min, tau_max, points, form)
+    # too many points for the span in doubles (say near the subnormals, or
+    # 100 points on [1, 1 + 1e-15]) round to repeats; a scan would print
+    # them.  pairwise keeps only the previous point.
+    if any(b <= a for a, b in pairwise(grid)):
+        raise DomainError(
+            "a {} grid of {} points on [{!r}, {!r}] repeats points in double "
+            "precision; use fewer points or a wider range".format(
+                kind, points, tau_min, tau_max)
+        )
+    return grid
 
 
 class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):

@@ -1,30 +1,30 @@
-"""Time-grid evaluation producing uniform rows for the CLI and tests.
+"""Scan rows: the observables evaluated at each point of a tau grid.
 
-A scan walks a tau grid and records, per point, the survival
-probability and the effective-Hamiltonian observables, through one of
-three computational paths: the closed forms ("exact"), the late-time
-series ("asymptotic"), or the integration oracle ("quadrature").  The
-exact and quadrature paths end in the same (E, gamma) map and
-probability check of ``survival``; the asymptotic path takes E from the
-real terms of the J/I series and gamma from -2 Im of its sum.  Rows are
-plain records; rendering belongs to the CLI.
+A scan walks a tau grid (``model.time_grid``, re-exported here) and
+evaluates, per point, the survival probability and the
+effective-Hamiltonian observables, through one of three computational
+paths: the closed forms ("exact"), the late-time series ("asymptotic"),
+or the integration oracle ("quadrature").  The exact and quadrature
+paths end in the same (E, gamma) map and probability check of
+``survival``; the asymptotic path takes E from the real terms of the
+J/I series and gamma from -2 Im of its sum.  Rows are plain records;
+rendering belongs to the CLI.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from collections import namedtuple
-from collections.abc import Sequence
-from itertools import chain, pairwise
 
 from .asymptotics import (AMPLITUDE_TERMS, SERIES_TERMS, amplitude_late,
                           energy_series, ratio_series)
 from .errors import DomainError
-from .model import BreitWignerModel, check_int, check_tau
+from .model import BreitWignerModel, check_int, time_grid
 from .quadrature import amplitude_by_quadrature, i_by_quadrature, j_by_quadrature
 from .survival import (checked_probability, effective_hamiltonian,
                        energy_and_rate, survival_probability)
+
+# time_grid lives in model, and scan re-exports it
+__all__ = ["METHODS", "ScanRow", "scan_rows", "time_grid"]
 
 METHODS = ("exact", "asymptotic", "quadrature")
 
@@ -40,89 +40,6 @@ effective Hamiltonian is undefined (tau = 0); ``re_h`` is
 ``ScanRow._fields`` names the columns and ``row._asdict()`` maps them
 to the values.
 """
-
-
-class _Grid(Sequence):
-    """What time_grid returns: its points, each formed from its index when
-    asked for; int indices may be negative, and slices are lists."""
-
-    __slots__ = ("_lo", "_hi", "_last", "_form")
-
-    def __init__(self, lo: float, hi: float, points: int, form):
-        self._lo, self._hi, self._last = lo, hi, points - 1
-        self._form = form  # point i from i, for 0 < i < points - 1
-
-    def __len__(self) -> int:
-        return self._last + 1
-
-    def __getitem__(self, index):
-        lo, hi, last, form = self._lo, self._hi, self._last, self._form
-        if isinstance(index, slice):
-            return [form(i) if 0 < i < last else lo if i == 0 else hi
-                    for i in range(*index.indices(last + 1))]
-        i = operator.index(index)
-        if i < 0:
-            i += last + 1
-        if not 0 <= i <= last:
-            raise IndexError("time grid index out of range")
-        return form(i) if 0 < i < last else lo if i == 0 else hi
-
-    def __iter__(self):
-        return chain((self._lo,), map(self._form, range(1, self._last)),
-                     (self._hi,))
-
-
-def time_grid(tau_min: float, tau_max: float, points: int,
-              kind: str = "log") -> Sequence:
-    """Strictly increasing tau grid, linear or logarithmic.
-
-    Returns a read-only sequence of ``points`` floats that forms each
-    point from its index when it is asked for, so the grid's memory does
-    not grow with its length; ``list(time_grid(...))`` makes a list.
-    Both ends are ``tau_min`` and ``tau_max`` exactly, and an inner point
-    depends on its index alone (no accumulated stepping error), so equal
-    arguments give equal grids.  A grid whose points would repeat in
-    double precision raises DomainError before any point is used.
-    """
-    check_int("points", points, 2)
-    if kind not in ("linear", "log"):
-        raise DomainError("grid kind must be 'linear' or 'log', got {!r}".format(kind))
-    check_tau(tau_min, hint=" (tau_min of a {} grid)".format(kind),
-              zero_ok=kind == "linear")
-    check_tau(tau_max, hint=" (tau_max)")
-    if tau_max <= tau_min:
-        raise DomainError(
-            "tau_max must exceed tau_min, got [{!r}, {!r}]".format(tau_min, tau_max)
-        )
-    last = points - 1
-    if kind == "linear":
-        step = (tau_max - tau_min) / last
-
-        def form(i):
-            return tau_min + i * step
-    else:
-        ratio = tau_max / tau_min
-        if ratio == math.inf:
-            # the ratio overflows, though both ends are finite: step in logs
-            lo = math.log(tau_min)
-            span = math.log(tau_max) - lo
-
-            def form(i):
-                return math.exp(lo + i / last * span)
-        else:
-            def form(i):
-                return tau_min * ratio ** (i / last)
-    grid = _Grid(tau_min, tau_max, points, form)
-    # too many points for the span in doubles (say near the subnormals, or
-    # 100 points on [1, 1 + 1e-15]) round to repeats; a scan would print
-    # them.  pairwise keeps only the previous point.
-    if any(b <= a for a, b in pairwise(grid)):
-        raise DomainError(
-            "a {} grid of {} points on [{!r}, {!r}] repeats points in double "
-            "precision; use fewer points or a wider range".format(
-                kind, points, tau_min, tau_max)
-        )
-    return grid
 
 
 def _row(model: BreitWignerModel, tau: float, p: float, energy: float | None,

@@ -149,9 +149,10 @@ def test_bare_start_up_loads_neither_typing_nor_scipy():
     ("import bwdecay", ["bwdecay"]),
     ("from bwdecay import BreitWignerModel", ["bwdecay", "bwdecay.errors",
                                              "bwdecay.model"]),
+    ("from bwdecay import time_grid", ["bwdecay", "bwdecay.errors", "bwdecay.model"]),
     ("import bwdecay.crossover", _LATE_TIME),
     ("import bwdecay.cli", sorted(_LATE_TIME + _ROUTES + ["bwdecay.cli"])),
-], ids=["package", "one_export", "crossover", "cli"])
+], ids=["package", "one_export", "time_grid", "crossover", "cli"])
 def test_an_import_loads_only_what_it_computes_with(statement, loaded):
     # the cli case pins today's set: every CLI call imports all of it
     res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE.format(statement=statement)],

@@ -584,7 +584,7 @@ class TestScanRendering:
 
     @pytest.mark.parametrize("method", ["exact", "asymptotic", "quadrature"])
     def test_json_rows_render_as_json_dumps(self, monkeypatch, method):
-        # finite rows take the "%r" template, the rest _json_value; both
+        # finite rows take the "%r" template, the rest json.dumps; both
         # must give json.dumps(..., indent=2) byte for byte.  Every row of
         # a scan carries the scan's method, as scan_rows stamps it.
         huge = 1.7976931348623157e308
@@ -604,12 +604,6 @@ class TestScanRendering:
                     "--tau-max", "5", "--points", str(len(rows)), "--method",
                     method, "--output", "json", *no_meta]
             assert _cli_stdout(argv) == _reference_scan_text(argv, rows)
-
-    @pytest.mark.parametrize(
-        "value", [None, math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300,
-                  5e-324, 0.1, 1.7976931348623157e308, "exact"])
-    def test_value_function_spells_as_json(self, value):
-        assert cli._json_value(value) == json.dumps(value)
 
 
 class TestModelResolution:
