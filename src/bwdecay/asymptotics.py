@@ -43,9 +43,7 @@ import functools
 import math
 import warnings
 
-from .model import BreitWignerModel, check_beta, check_int, check_tau
-
-_TWO_PI = 2.0 * math.pi
+from .model import _TWO_PI, BreitWignerModel, check_int, check_real, check_tau
 
 # Terms retained: five coefficients per table, all five of the ratio's by
 # the ratio and energy series, the first four of the I brace by the
@@ -99,7 +97,7 @@ def _series(coefficients, beta: float, tau: float, order: int, top: int,
     # the first `order` of coefficients(beta) at x = i/tau.  Warns, at
     # the public function's caller (stacklevel 3), when the last retained
     # term exceeds the one before it.
-    check_beta(beta)
+    check_real("beta", beta, positive=True)
     check_tau(tau)
     check_int("order", order, 1, top)
     coeffs = coefficients(beta)[:order]
@@ -142,7 +140,7 @@ def energy_series(beta: float, tau: float, order: int) -> float:
     beta + Re[J/I]: 0 for orders 1 and 2, -c_2/tau**2 for 3 and 4, plus
     c_4/tau**4 at 5.  Warns of nothing; ratio_series at the order does.
     """
-    check_beta(beta)
+    check_real("beta", beta, positive=True)
     check_tau(tau)
     check_int("order", order, 1, SERIES_TERMS)
     c = ratio_coefficients(beta)

@@ -8,11 +8,12 @@ dimensionless pair
 
 so this module is the only place physical units appear: construction,
 the tau <-> t maps, and the density itself.  It also owns the domain of
-the dimensionless pair: :func:`check_beta` and :func:`check_tau` are the
-one validator of each for the whole package, and :func:`check_real` is
-the one check of every other real-valued parameter.  :func:`_phase`
-is the one place the phase exp(i beta tau) of the closed forms is formed,
-and :func:`time_grid` the one tau grid, which scans and the cross-over
+the dimensionless pair: :func:`check_tau` is the one validator of tau
+for the whole package, and :func:`check_real` the one check of every
+other real-valued parameter, beta included.  :func:`i_beta_at_zero` is
+the one formula for I(0) = 2 pi/N, :func:`_phase` the one place the
+phase exp(i beta tau) of the closed forms is formed, and
+:func:`time_grid` the one tau grid, which scans and the cross-over
 solve walk.
 """
 
@@ -20,19 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, pairwise
 
 from .errors import DomainError
-
-
-def check_beta(beta: float) -> None:
-    """Raise DomainError unless ``beta`` is a finite positive real."""
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise DomainError("beta must be a finite positive real, got {!r}".format(beta))
 
 
 def check_real(name: str, value: float, positive: bool = False) -> None:
@@ -61,6 +55,15 @@ def check_tau(tau: float, hint: str = "", zero_ok: bool = False) -> None:
             and (tau > 0 or (zero_ok and tau == 0))):
         raise DomainError("tau must be a finite {} real, got {!r}{}".format(
             "non-negative" if zero_ok else "positive", tau, hint))
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+def i_beta_at_zero(beta: float) -> float:
+    """I(0) = pi + 2 arctan(2 beta) = 2 pi/N for a validated beta: the mass
+    of the truncated density before normalization."""
+    return math.pi + 2.0 * math.atan(2.0 * beta)
 
 
 # Below this tau the closed form and the oracle both return I(0): the gap
@@ -98,14 +101,9 @@ class _Grid(Sequence):
 
     def __getitem__(self, index):
         lo, hi, last, form = self._lo, self._hi, self._last, self._form
-        if isinstance(index, slice):
-            return [form(i) if 0 < i < last else lo if i == 0 else hi
-                    for i in range(*index.indices(last + 1))]
-        i = operator.index(index)
-        if i < 0:
-            i += last + 1
-        if not 0 <= i <= last:
-            raise IndexError("time grid index out of range")
+        i = range(last + 1)[index]  # checks as a sequence does; a slice gives a range
+        if isinstance(i, range):
+            return [form(j) if 0 < j < last else lo if j == 0 else hi for j in i]
         return form(i) if 0 < i < last else lo if i == 0 else hi
 
     def __iter__(self):
@@ -205,7 +203,7 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
                 "e0 must exceed emin (got e0 = {!r}, emin = {!r}); "
                 "the resonance must sit above the spectrum edge".format(e0, emin))
         self = super().__new__(cls, e0, gamma0, emin, hbar)
-        check_beta(self.beta)
+        check_real("beta", self.beta, positive=True)
         return self
 
     def __setattr__(self, name, value):
@@ -217,9 +215,18 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
         """Build a model with a prescribed dimensionless ``beta``.
 
         Convenience for scans: e0 is placed at ``emin + beta * gamma0``.
+        Raises DomainError where the rounding of e0 moves beta by more
+        than 1e-12 relative, the package's accuracy.
         """
-        check_beta(beta)
-        return cls(e0=emin + beta * gamma0, gamma0=gamma0, emin=emin, hbar=hbar)
+        check_real("beta", beta, positive=True)
+        check_real("gamma0", gamma0, positive=True)
+        e0 = emin + beta * gamma0
+        held = (e0 - emin) / gamma0  # the model's beta
+        if not abs(held - beta) <= 1e-12 * beta:
+            raise DomainError(
+                "beta = {!r} cannot be held at emin = {!r}, gamma0 = {!r}: e0 rounds "
+                "to {!r}, which gives beta = {!r}".format(beta, emin, gamma0, e0, held))
+        return cls(e0=e0, gamma0=gamma0, emin=emin, hbar=hbar)
 
     @cached_property
     def beta(self) -> float:
@@ -255,7 +262,7 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
         finite beta (truncation removes tail mass) and tends to 1 as
         beta grows.
         """
-        return 2.0 * math.pi / (math.pi + 2.0 * math.atan(2.0 * self.beta))
+        return _TWO_PI / i_beta_at_zero(self.beta)
 
     def density(self, e: float) -> float:
         """Energy density w(e) at a finite real ``e``; zero below the spectrum edge."""
@@ -265,4 +272,4 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
         # gamma0 / r**2 with r = |e - e0 + i gamma0/2|, divided by r twice
         # so that no square over- or underflows at any width
         r = math.hypot(e - self.e0, 0.5 * self.gamma0)
-        return self.normalization() / (2.0 * math.pi) * (self.gamma0 / r) / r
+        return self.normalization() / _TWO_PI * (self.gamma0 / r) / r

@@ -18,9 +18,10 @@ whose residue gives the exponential parts, and leaves
     J = -i pi e^{-tau/2} - i e^{i beta tau} integral of e^{-s tau} f_J(-beta - i s) ds
 
 over s in (0, inf).  On the ray the integrands do not oscillate and
-carry a positive weight, and the two share their nodes.  A negative
-frequency rotates the contour up, past the pole at +i/2; at tau = 0 I
-alone is integrated along the same ray, with no weight.
+carry a positive weight, and the two share their nodes.  At tau = 0 I
+alone is integrated along the same ray, with no weight.  Only tau >= 0
+is integrated: I(-tau) = conj(I(tau)) holds for the integral, and no
+caller asks for it.
 
 The rule substitutes t = s tau, then t = u/(1 - u), and splits u in
 [0, 1] at the image of the pole, t = tau/2.  It starts from panels
@@ -47,9 +48,7 @@ import functools
 import math
 
 from .errors import ToleranceNotMet
-from .model import _TAU_FLOOR, BreitWignerModel, _phase, check_beta, check_tau
-
-_TWO_PI = 2.0 * math.pi
+from .model import _TAU_FLOOR, _TWO_PI, BreitWignerModel, _phase, check_real, check_tau
 
 # The oracle's contract: a returned value is within REL_TOL*|value| +
 # ABS_TOL by its certificate, found on at most MAX_PANELS panels, the
@@ -166,22 +165,21 @@ def _start(beta: float, omega: float, scale: float) -> list:
 
 
 def quad(beta: float, omega: float) -> tuple:
-    """I and J at frequency ``omega`` by the adaptive rule on the ray.
+    """I and J at frequency ``omega`` >= 0 by the adaptive rule on the ray.
 
     Returns ((I, err_I), (J, err_J)), each error the certificate of the
     module docstring.  At omega = 0, where J diverges, only I drives the
     refinement and the J pair is None.  Certificates are reported, not
     enforced.
     """
-    sign = -1.0 if omega < 0 else 1.0
-    scale = abs(omega) or 1.0
+    scale = omega or 1.0
     rate = 1.0 if omega else 0.0
-    # eta = -beta - i sign t/scale on the ray; the ray integral enters
-    # I and J times rot, of modulus 1/scale
-    k = -1j * sign / scale
+    # eta = -beta - i t/scale on the ray; the ray integral enters I and J
+    # times rot, of modulus 1/scale
+    k = -1j / scale
     rot = k * _phase(beta, omega)
-    decay = math.exp(-0.5 * abs(omega))
-    pole_i, pole_j = _TWO_PI * decay, -1j * sign * math.pi * decay
+    decay = math.exp(-0.5 * omega)
+    pole_i, pole_j = _TWO_PI * decay, -1j * math.pi * decay
     pole_floor_i, pole_floor_j = _ROUNDOFF * abs(pole_i), _ROUNDOFF * abs(pole_j)
     rel, tol = REL_TOL, ABS_TOL
     # columns: panel ends, then the six sums of _panel, one list each
@@ -259,7 +257,7 @@ def i_by_quadrature(beta: float, tau: float) -> complex:
         If the certified error of I exceeds REL_TOL*|I| + ABS_TOL
         (1e-10 relative, 1e-14 absolute) within MAX_PANELS panels.
     """
-    check_beta(beta)
+    check_real("beta", beta, positive=True)
     check_tau(tau, zero_ok=True)
     # below the floor I(tau) is I(0) to within an ulp
     omega = float(tau) if tau >= _TAU_FLOOR else 0.0
@@ -275,7 +273,7 @@ def j_by_quadrature(beta: float, tau: float) -> complex:
     tau > 0 it converges only conditionally, through the oscillation.
     Raises ToleranceNotMet as :func:`i_by_quadrature` does.
     """
-    check_beta(beta)
+    check_real("beta", beta, positive=True)
     check_tau(tau, hint=" (J diverges logarithmically at tau = 0)")
     tau = float(tau)
     value, err = _integrals(beta, tau)[1]

@@ -38,10 +38,9 @@ import math
 from collections import namedtuple
 
 from .errors import NearZeroAmplitude
-from .model import _TAU_FLOOR, BreitWignerModel, _phase, check_beta, check_tau
+from .model import (_TAU_FLOOR, _TWO_PI, BreitWignerModel, _phase, check_real,
+                    check_tau, i_beta_at_zero)
 from ._kernels_py import EULER_GAMMA, exp_integral_e1_scaled
-
-_TWO_PI = 2.0 * math.pi
 
 # Below this the ratio J/I is numerically meaningless: the amplitude
 # modulus is ~ 1e-280 / 2 pi, deep under any physical interpretation.
@@ -151,21 +150,11 @@ def _pieces(beta: float,
             -1j * math.pi * decay, 0.5 * phase * (g_plus + g_minus))
 
 
-def i_beta_at_zero(beta: float) -> float:
-    """I(0) = pi + 2 arctan(2 beta), which i_beta returns for every tau < 1e-18.
-
-    The two E1 terms of the closed form diverge at tau = 0 and cancel
-    only in the limit, so the point takes this formula instead.
-    """
-    check_beta(beta)
-    return math.pi + 2.0 * math.atan(2.0 * beta)
-
-
 def _i_and_phase(beta: float, tau: float) -> tuple[complex, complex]:
     # (I, e^{i beta tau}) for a validated beta and tau >= 0
     if tau < _TAU_FLOOR:
-        # the deviation from the limit, at most tau (2 ln(1/tau) + 4),
-        # is below one ulp of it here
+        # I(0), where the two E1 terms diverge and cancel; the deviation
+        # from it, at most tau (2 ln(1/tau) + 4), is below one ulp here
         return complex(i_beta_at_zero(beta), 0.0), _phase(beta, tau)
     phase, i_pole, i_tail, _, _ = _pieces(beta, tau)
     return i_pole + i_tail, phase
@@ -186,7 +175,7 @@ def i_beta(beta: float, tau: float) -> complex:
     complex
         I(tau); N/(2 pi) times this, dephased, is the amplitude.
     """
-    check_beta(beta)
+    check_real("beta", beta, positive=True)
     check_tau(tau, zero_ok=True)
     return _i_and_phase(beta, tau)[0]
 
@@ -197,7 +186,7 @@ def j_beta(beta: float, tau: float) -> complex:
     Diverges logarithmically as tau -> 0+ (the integrand falls off only
     like 1/eta), hence tau > 0 strictly.
     """
-    check_beta(beta)
+    check_real("beta", beta, positive=True)
     check_tau(tau, hint=" (J diverges logarithmically at tau = 0)")
     _, _, _, j_pole, j_tail = _pieces(beta, tau)
     return j_pole + j_tail

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from bwdecay import asymptotics, survival
-from bwdecay.model import _phase, check_beta, check_tau
+from bwdecay.model import _phase, check_real, check_tau
 
 
 @pytest.fixture(scope="session")
@@ -75,7 +75,7 @@ def chi(beta, tau):
     vanishes; its non-constancy on every interval is what rules out a
     finite exponential window (acceptance c10).
     """
-    check_beta(beta)
+    check_real("beta", beta, positive=True)
     check_tau(tau)
     s_plus, s_minus = _brace_pair(beta, tau)
     return s_plus - s_minus
@@ -83,7 +83,7 @@ def chi(beta, tau):
 
 def chi_derivative(beta, tau):
     """d chi / d tau = exp(tau) E1(z+), nonzero except at isolated tau."""
-    check_beta(beta)
+    check_real("beta", beta, positive=True)
     check_tau(tau)
     return _brace_pair(beta, tau)[0]
 

@@ -100,14 +100,6 @@ def test_j_short_time_logarithmic_growth():
     assert abs(j4) - abs(j3) == pytest.approx(math.log(10.0), rel=0.25)
 
 
-def test_conjugation_symmetry_by_reevaluation():
-    # I(-tau) = conj(I(tau)) holds for the integral; evaluated on both
-    # signs independently rather than imposed
-    plus, _ = quad(2.0, 7.3)[0]
-    minus, _ = quad(2.0, -7.3)[0]
-    assert abs(minus - plus.conjugate()) < 1e-9
-
-
 def test_reported_error_covers_truncation_change(monkeypatch):
     # the ray has no truncation point; what truncates the rule is its
     # panel budget.  A value cut short at a few panels carries an error

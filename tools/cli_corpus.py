@@ -1,6 +1,6 @@
 """Record what the command line prints for a fixed list of calls.
 
-Runs 156 argument lists through ``bwdecay.cli.main`` in one process
+Runs 158 argument lists through ``bwdecay.cli.main`` in one process
 and writes, for each, its stdout, stderr and exit code to a JSON file.
 The list covers ``info``, ``crossover`` at every order, and the exact,
 asymptotic and quadrature scans in CSV and JSON over a spread of beta,
@@ -10,7 +10,7 @@ overflows, exact, quadrature and asymptotic scans at beta = 1e-323 or
 1e-12, an exact scan at subnormal tau, two scans of 8,193 rows, to
 stdout and to an ``--out`` file, two scans of 1,025 rows on a linear
 grid and on a log grid whose end ratio overflows, ``info`` and
-``crossover`` in physical units, and the usage and numerical error
+``crossover`` in physical units, and the usage, model and numerical error
 paths.  An uncaught exception is recorded as exit 1, with its type and
 message on stderr, and the corpus goes on.  A call
 with ``--out`` writes to a file in a temporary directory, and its record
@@ -146,6 +146,9 @@ ERRORS = (
     ("info", "--e0", "1", "--emin", "2"),
     ("crossover", "--beta", "2", "--terms", "5"),
     ("crossover", "--beta", "2", "--amp-const", "-1"),
+    # a beta that e0 = emin + beta * gamma0 cannot hold
+    ("info", "--beta", "0.3", "--emin", "1e15"),
+    ("info", "--beta", "1e-20", "--emin", "1"),
     # numerical failures, exit 3
     ("scan", "--beta", "1e300", "--tau-min", "1e8", "--tau-max", "1e9",
      "--points", "2"),
