@@ -220,6 +220,7 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
         """
         check_real("beta", beta, positive=True)
         check_real("gamma0", gamma0, positive=True)
+        check_real("emin", emin)
         e0 = emin + beta * gamma0
         held = (e0 - emin) / gamma0  # the model's beta
         if not abs(held - beta) <= 1e-12 * beta:
