@@ -10,15 +10,15 @@ then plot p against tau with a logarithmic y-axis (panel A),
 gamma_ratio against tau (panel B, dashed reference at 1), and kappa
 against tau (panel C, dashed reference at 1).
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure, 141 standard
-output closed by its reader (as under ``| head``).
+Exit codes: 0 success, 2 usage error, 3 numerical failure (any
+``ArithmeticError``; every failure type of ``bwdecay.errors`` is one),
+141 standard output closed by its reader (as under ``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -27,11 +27,19 @@ import warnings
 from . import __version__
 from .asymptotics import AMPLITUDE_TERMS, SERIES_TERMS, AsymptoticRangeWarning
 from .crossover import crossover_time
-from .errors import BracketError, DomainError, NearZeroAmplitude, ToleranceNotMet
+from .errors import DomainError
 from .model import BreitWignerModel
 from .scan import METHODS, ScanRow, scan_rows, time_grid
 
-_CONFIG_KEYS = ("beta", "e0", "gamma0", "emin", "hbar")
+# The model's flags and config keys with their help, in --help order; with
+# the defaults they are the keywords of from_beta (beta) or the constructor.
+_MODEL_FLAGS = {
+    "beta": "resonance position above the spectrum edge, in widths",
+    "e0": "resonance energy (energy units); alternative to --beta",
+    "gamma0": "resonance width (default 1)",
+    "emin": "spectrum lower edge (default 0)",
+    "hbar": "hbar in the chosen units (default 1)",
+}
 _MODEL_DEFAULTS = {"gamma0": 1.0, "emin": 0.0, "hbar": 1.0}
 _INF = float("inf")
 # Grid points a scan evaluates and renders at a time.  A slice holds about
@@ -76,7 +84,7 @@ def _json_rows(rows, method: str) -> str:
 
 def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops a BOM
             text = fh.read()
     except OSError as exc:
         parser.error("cannot read config file {}: {}".format(path, exc))
@@ -89,9 +97,9 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
             parser.error("{}:{}: expected key=value, got {!r}".format(path, lineno, raw))
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _MODEL_FLAGS:
             parser.error("{}:{}: unknown key {!r} (allowed: {})".format(
-                path, lineno, key, ", ".join(_CONFIG_KEYS)))
+                path, lineno, key, ", ".join(_MODEL_FLAGS)))
         try:
             values[key] = float(val.strip())
         except ValueError:
@@ -104,7 +112,7 @@ def _resolve_model(args, parser: argparse.ArgumentParser) -> BreitWignerModel:
     merged = dict(_MODEL_DEFAULTS)
     if args.config:
         merged.update(_read_config(args.config, parser))
-    for key in _CONFIG_KEYS:
+    for key in _MODEL_FLAGS:
         flag_value = getattr(args, key)
         if flag_value is not None:
             merged[key] = flag_value
@@ -115,13 +123,7 @@ def _resolve_model(args, parser: argparse.ArgumentParser) -> BreitWignerModel:
     if not has_beta and not has_e0:
         parser.error("a model needs either --beta or --e0 (directly or via --config)")
     try:
-        if has_beta:
-            return BreitWignerModel.from_beta(
-                merged["beta"], gamma0=merged["gamma0"],
-                emin=merged["emin"], hbar=merged["hbar"])
-        return BreitWignerModel(
-            e0=merged["e0"], gamma0=merged["gamma0"],
-            emin=merged["emin"], hbar=merged["hbar"])
+        return (BreitWignerModel.from_beta if has_beta else BreitWignerModel)(**merged)
     except DomainError as exc:
         parser.error("invalid model: {}".format(exc))
 
@@ -172,7 +174,7 @@ def _cmd_scan(args, model: BreitWignerModel) -> int:
         head = "{\n" if meta is None else '{{\n  "meta": {},\n'.format(
             json.dumps(meta, indent=2).replace("\n", "\n  "))
         head, tail = head + '  "rows": [\n', "\n  ]\n}\n"
-    # Rows are evaluated and rendered _CHUNK at a time into the spool, an
+    # The head, the rows (_CHUNK at a time) and the tail go to the spool, an
     # anonymous file, so a scan holds one slice of rows and text however
     # long it is.  Nothing is written until every row has succeeded.
     try:
@@ -181,7 +183,9 @@ def _cmd_scan(args, model: BreitWignerModel) -> int:
         _spool_failed(args, exc, tempfile.tempdir)
     with spool:
         try:
+            spool.write(head)
             flagged = _spool_rows(spool, args, model, taus)
+            spool.write(tail)
         except OSError as exc:  # such as a full disk
             _spool_failed(args, exc, tempfile.tempdir)
         if flagged:
@@ -192,8 +196,7 @@ def _cmd_scan(args, model: BreitWignerModel) -> int:
             )
         # read back a block at a time, so the text is never whole in memory
         spool.seek(0)
-        blocks = iter(functools.partial(spool.read, _BLOCK), "")
-        _write_text(itertools.chain((head,), blocks, (tail,)), args)
+        _write_text(iter(functools.partial(spool.read, _BLOCK), ""), args)
     return 0
 
 
@@ -265,18 +268,10 @@ def _cmd_info(args, model: BreitWignerModel) -> int:
 
 def _add_model_arguments(sub: argparse.ArgumentParser) -> None:
     group = sub.add_argument_group("model")
-    group.add_argument("--beta", type=float, default=None,
-                       help="resonance position above the spectrum edge, in widths")
-    group.add_argument("--e0", type=float, default=None,
-                       help="resonance energy (energy units); alternative to --beta")
-    group.add_argument("--gamma0", type=float, default=None,
-                       help="resonance width (default 1)")
-    group.add_argument("--emin", type=float, default=None,
-                       help="spectrum lower edge (default 0)")
-    group.add_argument("--hbar", type=float, default=None,
-                       help="hbar in the chosen units (default 1)")
-    group.add_argument("--config", default=None, metavar="PATH",
-                       help="key=value file with any of: " + ", ".join(_CONFIG_KEYS))
+    for name, text in _MODEL_FLAGS.items():
+        group.add_argument("--" + name, type=float, help=text)
+    group.add_argument("--config", metavar="PATH",
+                       help="key=value file with any of: " + ", ".join(_MODEL_FLAGS))
 
 
 def _add_output_arguments(sub: argparse.ArgumentParser, default_format: str) -> None:
@@ -332,28 +327,22 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(info)
     _add_output_arguments(info, "json")
 
-    for sub in (scan, cross, info):
+    for sub, run in ((scan, _cmd_scan), (cross, _cmd_crossover), (info, _cmd_info)):
         # a usage error found after parsing is the subcommand's to report
-        sub.set_defaults(parser=sub)
+        sub.set_defaults(parser=sub, run=run)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    parser = args.parser
-    model = _resolve_model(args, parser)
+    model = _resolve_model(args, args.parser)
     try:
-        if args.command == "scan":
-            return _cmd_scan(args, model)
-        if args.command == "crossover":
-            return _cmd_crossover(args, model)
-        return _cmd_info(args, model)
-    except (ToleranceNotMet, BracketError, NearZeroAmplitude,
-            OverflowError) as exc:
+        return args.run(args, model)
+    except ArithmeticError as exc:
         print("numerical failure: {}".format(exc), file=sys.stderr)
         return 3
     except DomainError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

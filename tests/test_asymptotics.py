@@ -200,6 +200,17 @@ def test_no_warning_deep_in_range():
         i_series(10.0, 100.0, 5)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+def test_no_warning_where_a_ratio_coefficient_vanishes():
+    # at beta = 1/sqrt(8) the ratio's 1/tau**3 coefficient,
+    # (1 - 8 beta**2)/D**2, is 0.0, so the last retained term exceeds the
+    # one before it at every tau; tau = 1e6 is deep inside the reliable
+    # region
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AsymptoticRangeWarning)
+        ratio_series(1 / math.sqrt(8), 1e6, 5)
+
+
 def test_leading_amplitude_slope_is_exactly_minus_two():
     # one-term tail is a pure 1/tau amplitude, so log-log slope of the
     # probability is -2 to machine precision

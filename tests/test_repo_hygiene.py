@@ -1,8 +1,9 @@
 """Repository hygiene: no tracked file is also ignored by git, the
 package imports exactly what pyproject.toml declares and uses every
 import, its modules import each other without cycles and the
-late-time modules without the exact and quadrature routes, and its
-export list is sorted, resolves and keeps the facade's contract."""
+late-time modules without the exact and quadrature routes, its
+export list is sorted, resolves and keeps the facade's contract, and
+every failure type it raises is one the CLI reports with exit 3."""
 
 import ast
 import graphlib
@@ -16,6 +17,7 @@ import sys
 import pytest
 
 import bwdecay
+from bwdecay import errors
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -180,3 +182,13 @@ def test_facade_contract():
     # a submodule that is not an export still imports by name
     from bwdecay import backend
     assert backend is sys.modules["bwdecay.backend"]
+
+
+def test_every_failure_type_exits_3():
+    # the CLI exits 3 on any ArithmeticError; every exception class of
+    # bwdecay.errors but DomainError, a usage error, must be one
+    failures = [cls for cls in vars(errors).values()
+                if isinstance(cls, type) and issubclass(cls, Exception)
+                and cls.__module__ == errors.__name__ and cls is not errors.DomainError]
+    assert failures
+    assert all(issubclass(cls, ArithmeticError) for cls in failures), failures

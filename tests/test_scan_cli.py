@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import pytest
 
-from bwdecay import __version__, cli
+from bwdecay import __version__, cli, survival
 from bwdecay.asymptotics import AsymptoticRangeWarning
 from bwdecay.cli import _build_parser
 from bwdecay.errors import DomainError
@@ -324,6 +324,23 @@ class TestScanCommand:
         assert res.stderr.startswith("numerical failure: beta * tau overflows")
         assert len(res.stderr.splitlines()) == 1
 
+    def test_any_arithmetic_error_exits_3(self, monkeypatch):
+        # an |a|**2 past 1 + P_SLACK is an ArithmeticError of no package
+        # class; it exits 3 like one, not with a traceback
+        i_and_phase = survival._i_and_phase
+
+        def inflated(beta, tau):
+            i_val, phase = i_and_phase(beta, tau)
+            return 1.01 * i_val, phase
+
+        monkeypatch.setattr(survival, "_i_and_phase", inflated)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["scan", "--beta", "2", "--tau-min", "0.01",
+                             "--tau-max", "0.02", "--points", "2"]) == 3
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("numerical failure: survival probability ")
+
     def test_log_grid_from_a_subnormal_tau_min(self, run_cli):
         # tau_max / tau_min overflows; every row is still a finite tau
         res = run_cli("scan", "--beta", "2", "--tau-min", "1e-310",
@@ -614,6 +631,13 @@ class TestModelResolution:
         assert json.loads(from_cfg.stdout)["beta"] == 2.0
         overridden = run_cli("info", "--config", str(cfg), "--beta", "10")
         assert json.loads(overridden.stdout)["beta"] == 10.0
+
+    def test_config_may_start_with_a_byte_order_mark(self, run_cli, tmp_path):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfbeta=2\n")
+        res = run_cli("info", "--config", str(cfg))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["beta"] == 2.0
 
     def test_unknown_config_key(self, run_cli, tmp_path):
         cfg = tmp_path / "model.cfg"

@@ -1,8 +1,8 @@
 """Record what the command line prints for a fixed list of calls.
 
-Runs 158 argument lists through ``bwdecay.cli.main`` in one process
-and writes, for each, its stdout, stderr and exit code to a JSON file.
-The list covers ``info``, ``crossover`` at every order, and the exact,
+Runs each argument list of ``corpus()`` through ``bwdecay.cli.main``
+in one process and writes, for each, its stdout, stderr and exit code
+to a JSON file.  The list covers ``info``, ``crossover`` at every order, and the exact,
 asymptotic and quadrature scans in CSV and JSON over a spread of beta,
 quadrature scans at beta = 0.001, 1e8 and 1e153, an asymptotic scan at
 beta = 1e200 and a cross-over at 1.5e154, where D = beta**2 + 1/4
