@@ -143,7 +143,12 @@ def energy_series(beta: float, tau: float, order: int) -> float:
     check_real("beta", beta, positive=True)
     check_tau(tau)
     check_int("order", order, 1, SERIES_TERMS)
-    c = ratio_coefficients(beta)
+    return _energy_series(beta, tau, order)
+
+
+def _energy_series(beta: float, tau: float, order: int) -> float:
+    # energy_series for checked arguments
+    c = _tables(beta)[2]
     energy = -c[2] / tau ** 2 if order >= 3 else 0.0
     if order == SERIES_TERMS:
         energy += c[4] / tau ** 4

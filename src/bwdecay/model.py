@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
@@ -31,6 +32,8 @@ from .errors import DomainError
 
 def check_real(name: str, value: float, positive: bool = False) -> None:
     """Raise DomainError unless ``value`` is a finite real (and > 0 if ``positive``)."""
+    if value.__class__ is float and (0.0 if positive else -math.inf) < value < math.inf:
+        return  # the common case, in one comparison
     if not (isinstance(value, (int, float)) and math.isfinite(value)
             and (value > 0 or not positive)):
         raise DomainError("{} must be a finite {}real, got {!r}".format(
@@ -51,6 +54,8 @@ def check_tau(tau: float, hint: str = "", zero_ok: bool = False) -> None:
     ``hint`` is appended to the message, typically to say why the
     caller refuses tau = 0.
     """
+    if tau.__class__ is float and 0.0 < tau < math.inf:
+        return  # the common case, in one comparison
     if not (isinstance(tau, (int, float)) and math.isfinite(tau)
             and (tau > 0 or (zero_ok and tau == 0))):
         raise DomainError("tau must be a finite {} real, got {!r}{}".format(
@@ -79,7 +84,7 @@ def _phase(beta: float, tau: float) -> complex:
     phase before any E1 call, so that the error is the first they raise.
     """
     beta_tau = beta * tau
-    if not math.isfinite(beta_tau):
+    if not -math.inf < beta_tau < math.inf:
         raise OverflowError(
             "beta * tau overflows double range at beta = {!r}, tau = {!r}; "
             "the phase exp(i beta tau) is undefined there".format(beta, tau))
@@ -122,7 +127,9 @@ def time_grid(tau_min: float, tau_max: float, points: int,
     int stays an int), and the inner points are floats that depend on
     their index alone (no accumulated stepping error), so equal arguments
     give equal grids.  A grid whose points would repeat in double
-    precision raises DomainError before any point is used.
+    precision raises DomainError before any point is used; the check
+    walks every point unless the step of a log grid certifies that none
+    repeats.
     """
     check_int("points", points, 2)
     if kind not in ("linear", "log"):
@@ -135,6 +142,7 @@ def time_grid(tau_min: float, tau_max: float, points: int,
             "tau_max must exceed tau_min, got [{!r}, {!r}]".format(tau_min, tau_max)
         )
     last = points - 1
+    walk = True  # whether the repeat check must walk the grid
     if kind == "linear":
         step = (tau_max - tau_min) / last
 
@@ -152,11 +160,16 @@ def time_grid(tau_min: float, tau_max: float, points: int,
         else:
             def form(i):
                 return tau_min * ratio ** (i / last)
+            # from a normal tau_min each point is formed within
+            # (ln ratio + 3) 2**-53 <= 8e-14 relative of its exact value,
+            # so a relative step above 1e-11 certifies that none repeats
+            walk = not (tau_min >= sys.float_info.min
+                        and ratio ** (1 / last) - 1.0 > 1e-11)
     grid = _Grid(tau_min, tau_max, points, form)
     # too many points for the span in doubles (say near the subnormals, or
     # 100 points on [1, 1 + 1e-15]) round to repeats; a scan would print
     # them.  pairwise keeps only the previous point.
-    if any(b <= a for a, b in pairwise(grid)):
+    if walk and any(b <= a for a, b in pairwise(grid)):
         raise DomainError(
             "a {} grid of {} points on [{!r}, {!r}] repeats points in double "
             "precision; use fewer points or a wider range".format(
@@ -189,7 +202,7 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
         tau counts lifetimes directly.
     """
 
-    # No __slots__: the instance dict holds the cached beta.  _replace
+    # No __slots__: the instance dict holds the cached beta and N.  _replace
     # builds through _make, so it validates as the constructor does.
     _make = classmethod(lambda cls, values: cls(*values))
 
@@ -241,36 +254,82 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
 
     @property
     def lifetime(self) -> float:
-        """Canonical lifetime hbar / gamma0 (time units)."""
-        return self.hbar / self.gamma0
+        """Canonical lifetime hbar / gamma0 (time units).
+
+        Raises OverflowError where it leaves double range, as it does at
+        gamma0 = 1e-310.
+        """
+        lifetime = self.hbar / self.gamma0
+        if lifetime == math.inf:
+            raise OverflowError(
+                "the lifetime hbar / gamma0 overflows double range at hbar = {!r}, "
+                "gamma0 = {!r}".format(self.hbar, self.gamma0))
+        return lifetime
 
     def tau_of_t(self, t: float) -> float:
-        """Dimensionless time gamma0 * t / hbar for finite physical t >= 0."""
+        """Dimensionless time gamma0 * t / hbar for finite physical t >= 0.
+
+        Raises DomainError where t is not 0 but tau rounds to 0.
+        """
         check_real("t", t)
         tau = self.gamma0 * t / self.hbar
+        if tau == math.inf or tau == 0 and t != 0:
+            # the product over- or underflowed; the quotient may not
+            tau = self.gamma0 / self.hbar * t
         check_tau(tau, hint=" (from t = {!r})".format(t), zero_ok=True)
+        if tau == 0 and t != 0:
+            raise DomainError(
+                "t = {!r} maps to tau = {!r} at gamma0 = {!r}, hbar = {!r}: tau "
+                "underflows double range".format(t, tau, self.gamma0, self.hbar))
         return tau
 
     def t_of_tau(self, tau: float) -> float:
-        """Physical time for finite dimensionless ``tau`` >= 0; inverse of tau_of_t."""
+        """Physical time for finite dimensionless ``tau`` >= 0; inverse of tau_of_t.
+
+        Raises OverflowError where the time leaves double range.
+        """
         check_tau(tau, zero_ok=True)
-        return self.hbar * tau / self.gamma0
+        t = self.hbar * tau / self.gamma0
+        if t == math.inf or t == 0 and tau != 0:
+            # the product over- or underflowed; the quotient may not
+            t = self.hbar / self.gamma0 * tau
+            if t == math.inf:
+                raise OverflowError(
+                    "the time t = hbar * tau / gamma0 overflows double range at "
+                    "tau = {!r}, hbar = {!r}, gamma0 = {!r}".format(
+                        tau, self.hbar, self.gamma0))
+        return t
 
     def normalization(self) -> float:
         """Normalization constant N = 2 pi / (pi + 2 arctan(2 beta)).
 
         Makes the truncated density integrate to one.  N > 1 for every
         finite beta (truncation removes tail mass) and tends to 1 as
-        beta grows.
+        beta grows.  Computed once per model.
         """
+        return self._normalization
+
+    @cached_property
+    def _normalization(self) -> float:
+        # N, computed on the first normalization() call and kept in the
+        # instance dict, as beta is
         return _TWO_PI / i_beta_at_zero(self.beta)
 
     def density(self, e: float) -> float:
-        """Energy density w(e) at a finite real ``e``; zero below the spectrum edge."""
+        """Energy density w(e) at a finite real ``e``; zero below the spectrum edge.
+
+        Raises OverflowError where w(e) leaves double range, as it does
+        near e0 at gamma0 = 1e-310.
+        """
         check_real("e", e)
         if e < self.emin:
             return 0.0
         # gamma0 / r**2 with r = |e - e0 + i gamma0/2|, divided by r twice
         # so that no square over- or underflows at any width
         r = math.hypot(e - self.e0, 0.5 * self.gamma0)
-        return self.normalization() / _TWO_PI * (self.gamma0 / r) / r
+        density = self.normalization() / _TWO_PI * (self.gamma0 / r) / r
+        if density == math.inf:
+            raise OverflowError(
+                "the density w({!r}) overflows double range at gamma0 = {!r}".format(
+                    e, self.gamma0))
+        return density

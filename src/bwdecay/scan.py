@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .asymptotics import (AMPLITUDE_TERMS, SERIES_TERMS, amplitude_late,
-                          energy_series, ratio_series)
+from .asymptotics import (AMPLITUDE_TERMS, SERIES_TERMS, _energy_series,
+                          amplitude_late, ratio_series)
 from .errors import DomainError
 from .model import BreitWignerModel, check_int, time_grid
 from .quadrature import amplitude_by_quadrature, i_by_quadrature, j_by_quadrature
@@ -42,14 +42,18 @@ to the values.
 """
 
 
+# builds a named tuple from the tuple of its fields, without calling the
+# named tuple's Python-level __new__
+_new = tuple.__new__
+
+
 def _row(model: BreitWignerModel, tau: float, p: float, energy: float | None,
          rate: float | None, method: str) -> ScanRow:
-    # energy and rate are None at tau = 0, where h is undefined; the
-    # fields go by position, which builds the tuple twice as fast
+    # energy and rate are None at tau = 0, where h is undefined
     if energy is None:
-        return ScanRow(0.0, p, None, None, None, None, method)
-    return ScanRow(float(tau), p, energy / model.beta, rate, energy, -0.5 * rate,
-                   method)
+        return _new(ScanRow, (0.0, p, None, None, None, None, method))
+    return _new(ScanRow, (float(tau), p, energy / model.beta, rate, energy,
+                          -0.5 * rate, method))
 
 
 def _asymptotic_row(model: BreitWignerModel, tau: float, terms: int) -> ScanRow:
@@ -57,10 +61,12 @@ def _asymptotic_row(model: BreitWignerModel, tau: float, terms: int) -> ScanRow:
     # blows up like 1/tau**2 by design, and scanning into that region
     # is allowed (the range warning fires instead).  amplitude_late
     # refuses tau <= 0.  The energy is not beta + Re r, in which the
-    # series' constant -beta cancels, but the sum of its real terms.
+    # series' constant -beta cancels, but the sum of its real terms,
+    # from the core of energy_series: ratio_series has checked its
+    # arguments.
     amp = amplitude_late(model, tau, min(terms, AMPLITUDE_TERMS))
     r = ratio_series(model.beta, tau, terms)
-    return _row(model, tau, abs(amp) ** 2, energy_series(model.beta, tau, terms),
+    return _row(model, tau, abs(amp) ** 2, _energy_series(model.beta, tau, terms),
                 -2.0 * r.imag, "asymptotic")
 
 

@@ -78,8 +78,10 @@ def energy_and_rate(beta: float, r: complex) -> tuple[float, float]:
 
 
 def _probability(value: complex, tau: float) -> float:
-    # |a|**2 with roundoff above 1 clipped to 1, the one probability rule
-    return min(checked_probability(abs(value) ** 2, tau), 1.0)
+    # |a|**2 with roundoff above 1 clipped to 1, the one probability rule;
+    # a value in [0, 1] needs neither the check nor the clip
+    p = abs(value) ** 2
+    return p if p <= 1.0 else min(checked_probability(p, tau), 1.0)
 
 
 class AmplitudeValue(namedtuple("AmplitudeValue", "value tau")):
@@ -102,6 +104,11 @@ class AmplitudeValue(namedtuple("AmplitudeValue", "value tau")):
             exceeds 1 + P_SLACK.
         """
         return _probability(self.value, self.tau)
+
+
+# builds a named tuple from the tuple of its fields, without calling the
+# named tuple's Python-level __new__
+_new = tuple.__new__
 
 
 class EffectiveHamiltonianValue(namedtuple("EffectiveHamiltonianValue",
@@ -133,7 +140,8 @@ def _pieces(beta: float,
     # -i pi e^{-tau/2}, and the power tails; I = i_pole + i_tail and
     # J = j_pole + j_tail.
     phase = _phase(beta, tau)
-    if tau * math.hypot(beta, 0.5) < 1e-17:
+    # hypot(beta, 1/2) >= 1/2, so only tau < 2e-17 can pass the test
+    if tau < 2e-17 and tau * math.hypot(beta, 0.5) < 1e-17:
         # |z+-| < 1e-17, where G(z) = -gamma - log z to O(z) relative;
         # log z+- = log tau + log(+-1/2 - i beta) keeps the bits that
         # forming z+- loses below tau ~ 1e-308
@@ -269,7 +277,7 @@ def effective_hamiltonian(model: BreitWignerModel,
             "this deep into underflow".format(tau, abs(i_val))
         )
     energy, rate = energy_and_rate(beta, (j_pole + j_tail) / i_val)
-    return EffectiveHamiltonianValue(energy, rate, float(tau))
+    return _new(EffectiveHamiltonianValue, (energy, rate, float(tau)))
 
 
 def kappa(model: BreitWignerModel, tau: float) -> float:

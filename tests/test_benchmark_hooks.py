@@ -55,6 +55,23 @@ def test_every_span_fires(tracing):
     assert set(tracing.SPAN_LAYER) - tracer.fired() == set()
 
 
+def test_rows_still_pass_through_the_spans(tracing):
+    # every exact row calls E1 twice inside its survival spans, and every
+    # scan row calls normalization once, read from the spans as the
+    # benchmark reads them
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for argv in RUNS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer, 1.0)
+    assert metrics["survival.e1_calls_per_row"] == 2.0
+    assert metrics["model.normalization_calls_per_row"] == 1.0
+
+
 def test_kernel_loops_can_be_counted(tracing):
     taus = time_grid(0.01, 40.0, 12, "log")
     counts = tracing.count_kernel_iterations(

@@ -11,10 +11,11 @@ together on the same panels.  The sharing goes through one-entry memos,
 which must never change a value or swallow an error.  The late-time
 coefficient tables are generated once per beta, not per point.  The
 oracle's rule starts from at most 45 panels graded to the integrand's
-features, and evaluates at most 11 per point on the oracle grid.  The E1
-power series is a Horner polynomial of at most 33 steps on |z| <= 4 and
-124 on |z| <= 50, and it sees only arguments where its cancellation is
-at most e**4.
+features, and evaluates at most 11 per point on the oracle grid.  An
+exact row makes about 31 Python-level calls and an asymptotic row 27.
+The E1 power series is a Horner polynomial of at most 33 steps on
+|z| <= 4 and 124 on |z| <= 50, and it sees only arguments where its
+cancellation is at most e**4.
 """
 
 import cmath
@@ -181,6 +182,33 @@ def test_exact_row_evaluates_one_e1_pair(monkeypatch):
     rows = scan_rows(BreitWignerModel.from_beta(3.3), taus)
     assert len(rows) == len(taus)
     assert len(calls) == 2 * len(taus)
+
+
+@pytest.mark.parametrize("method,lo,hi,ceiling", [
+    ("exact", 0.01, 40.0, 33.0),       # 47.4 before the rows ran straight
+    ("exact", 40.0, 1e8, 33.0),        # 48.0
+    ("asymptotic", 40.0, 1e8, 28.0),   # 47.0
+])
+def test_a_row_makes_few_python_calls(method, lo, hi, ceiling):
+    # Python-level calls, as the profiler sees them, per row of a scan
+    # of 2,000 log points at beta = 2; deterministic, so a ceiling holds
+    # the count, with about one call of slack
+    model = BreitWignerModel.from_beta(2.0)
+    taus = list(time_grid(lo, hi, 2000, "log"))
+    scan_rows(model, taus, method=method)  # fills the per-model caches
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        rows = scan_rows(model, taus, method=method)
+    finally:
+        sys.setprofile(None)
+    assert calls / len(rows) <= ceiling
 
 
 def test_late_time_tables_are_generated_once_per_beta():

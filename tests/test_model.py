@@ -146,6 +146,55 @@ def test_time_conversion_rejects_negative():
             m.t_of_tau(bad)
 
 
+def test_time_conversions_keep_the_product_where_it_is_finite():
+    m = BreitWignerModel.from_beta(2.0, gamma0=0.3, hbar=0.6582119569)
+    for tau in (0.0, 1e-300, 0.37, 11.44, 1e8, 1e300):
+        assert m.t_of_tau(tau) == m.hbar * tau / m.gamma0
+    for t in (0.0, 1e-300, 0.37, 11.44, 1e8, 1e300):
+        assert m.tau_of_t(t) == m.gamma0 * t / m.hbar
+
+
+def test_time_conversions_take_the_quotient_where_the_product_leaves_range():
+    # hbar * tau and gamma0 * t over- or underflow, though the times fit
+    assert BreitWignerModel.from_beta(2.0, gamma0=1e10, hbar=1e300).t_of_tau(
+        1e10) == 1e300
+    assert BreitWignerModel.from_beta(2.0, gamma0=1e300, hbar=1e300).tau_of_t(
+        1e10) == 1e10
+    assert BreitWignerModel.from_beta(2.0, gamma0=1e-300, hbar=1e-200).t_of_tau(
+        1e-200) == 1e-100
+    assert BreitWignerModel.from_beta(2.0, gamma0=1e-300, hbar=1e-300).tau_of_t(
+        1e-100) == 1e-100
+
+
+def test_physical_values_beyond_double_range_are_refused():
+    # ROADMAP item 26: each returned inf before
+    tiny = BreitWignerModel.from_beta(2.0, gamma0=1e-310)
+    with pytest.raises(OverflowError, match="^the lifetime hbar / gamma0 overflows"):
+        tiny.lifetime
+    with pytest.raises(OverflowError, match=r"^the density w\(2e-310\) overflows"):
+        tiny.density(tiny.e0)
+    wide = BreitWignerModel.from_beta(2.0, gamma0=1e-300, hbar=1e10)
+    with pytest.raises(OverflowError, match="^the time t = hbar [*] tau / gamma0 "
+                                            "overflows double range at tau = 11.44"):
+        wide.t_of_tau(11.44)
+    # a time that is not 0 whose tau underflows to 0 (tau = 0 is exactly
+    # the point where the amplitude is 1 and the Hamiltonian undefined)
+    for t in (1e-290, -1e-320):
+        with pytest.raises(DomainError, match="^t = .* maps to tau = -?0.0 at "
+                                              "gamma0 = 1e-300, hbar = 10000000000.0"):
+            wide.tau_of_t(t)
+    assert wide.tau_of_t(0.0) == 0.0 and wide.tau_of_t(1e20) == 1e-290
+
+
+def test_normalization_is_computed_once():
+    m = BreitWignerModel.from_beta(2.0)
+    assert m.normalization() is m.normalization()
+    twin = pickle.loads(pickle.dumps(m))
+    assert twin.normalization() == m.normalization()
+    with pytest.raises(AttributeError):
+        m._normalization = 1.0
+
+
 def test_normalization_frozen_value():
     # 2*pi / (pi + 2*arctan(4)), mpmath cross-checked
     assert BreitWignerModel.from_beta(2.0).normalization() == pytest.approx(

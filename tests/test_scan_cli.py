@@ -60,15 +60,78 @@ class TestTimeGrid:
 
     def test_the_repeat_check_copies_nothing(self):
         # the check walks the points once, keeping only the previous one;
-        # a list of these points alone was 3.20 MB
+        # a list of these points alone was 3.20 MB.  The log grid's step
+        # certifies it without a walk; the linear grid is walked.
         time_grid(0.01, 40.0, 2, "log")
         tracemalloc.start()
         try:
             time_grid(0.01, 40.0, 100000, "log")
+            time_grid(0.0, 40.0, 100000, "linear")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.1e6, peak
+
+    @staticmethod
+    def _reference_points(lo, hi, points, kind):
+        # time_grid's formulas, point by point: the ends are the arguments
+        last = points - 1
+        if kind == "linear":
+            step = (hi - lo) / last
+            inner = [lo + i * step for i in range(1, last)]
+        elif hi / lo == math.inf:
+            log_lo = math.log(lo)
+            span = math.log(hi) - log_lo
+            inner = [math.exp(log_lo + i / last * span) for i in range(1, last)]
+        else:
+            ratio = hi / lo
+            inner = [lo * ratio ** (i / last) for i in range(1, last)]
+        return [lo, *inner, hi]
+
+    @pytest.mark.parametrize("lo", [1.0, 0.37, 6.1e-300, 3.3e300])
+    @pytest.mark.parametrize("step", [1e-17, 1e-16, 1.5e-16, 2e-16, 3e-16, 1e-15,
+                                      1e-14, 1e-13, 1e-12, 0.99e-11, 1.01e-11,
+                                      1e-10, 1e-9])
+    def test_the_step_shortcut_never_hides_a_repeat(self, lo, step):
+        # log grids across the 1e-11 cut: below it the check walks the
+        # grid, above it the step certifies that no point repeats.  At
+        # 1.5e-16 and 2e-16 the step rounds to one ulp of 1 and points
+        # repeat, so a cut at 0 would hide them.
+        self._raises_exactly_at_a_repeat(lo, lo * math.exp(1000 * step), 1001, "log")
+
+    @pytest.mark.parametrize("args", [
+        # subnormal tau_min, and the last one below the normal range
+        (5e-324, 1e-321, 10, "log"), (5e-324, 1e-321, 100, "log"),
+        (1e-310, 1e-300, 30, "log"), (1e-310, 1e-300, 1000, "log"),
+        (2.2250738585072e-308, 1e-300, 1000, "log"),
+        (2.2250738585072014e-308, 1e-300, 1000, "log"),
+        # end ratios that overflow
+        (5e-324, 1e308, 3, "log"), (5e-324, 1e308, 10000, "log"),
+        (1e-200, 1e200, 1001, "log"),
+        # linear grids
+        (0.0, 1e-320, 50, "linear"), (0.0, 1e-320, 5000, "linear"),
+        (1.0, 1.0 + 1e-15, 100, "linear"), (1.0, 1.0 + 1e-12, 100, "linear"),
+        (0.0, 40.0, 1001, "linear"),
+    ])
+    def test_other_grids_are_walked(self, args):
+        self._raises_exactly_at_a_repeat(*args)
+
+    def _raises_exactly_at_a_repeat(self, lo, hi, points, kind):
+        ref = self._reference_points(lo, hi, points, kind)
+        if any(b <= a for a, b in zip(ref, ref[1:])):
+            with pytest.raises(DomainError, match="repeats points"):
+                time_grid(lo, hi, points, kind)
+        else:
+            assert list(time_grid(lo, hi, points, kind)) == ref
+
+    def test_a_certified_grid_increases_in_every_window(self):
+        # 3.5e13 points on [1e-154, 1e154], a relative step of 2e-11, near
+        # the largest finite end ratio and so the largest rounding of a
+        # point; no walk could cover it, so windows of it are walked here
+        grid = time_grid(1e-154, 1e154, 35_000_000_000_000, "log")
+        for start in (0, 1234567891234, len(grid) // 2, len(grid) - 2000):
+            window = grid[start:start + 2000]
+            assert all(b > a for a, b in zip(window, window[1:]))
 
     def test_memory_does_not_grow_with_length(self):
         # each point is formed from its index when it is asked for, so

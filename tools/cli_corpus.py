@@ -11,7 +11,7 @@ overflows, exact, quadrature and asymptotic scans at beta = 1e-323 or
 stdout and to an ``--out`` file, two scans of 1,025 rows on a linear
 grid and on a log grid whose end ratio overflows, ``info`` and
 ``crossover`` in physical units, and the usage, model and numerical error
-paths.  An uncaught exception is recorded as exit 1, with its type and
+paths, a lifetime and a cross-over time beyond double range among them.  An uncaught exception is recorded as exit 1, with its type and
 message on stderr, and the corpus goes on.  A call
 with ``--out`` writes to a file in a temporary directory, and its record
 also holds the file's contents.
@@ -156,6 +156,10 @@ ERRORS = (
      "--points", "2"),
     ("scan", "--beta", "0.05", "--tau-min", "7", "--tau-max", "9", "--points", "5"),
     ("crossover", "--beta", "10", "--amp-const", "1e-300"),
+    # a physical value beyond double range: the lifetime 1/gamma0, and
+    # t = hbar tau_T / gamma0 ~ 1.1e311 though tau_T = 11.44 solves
+    ("info", "--beta", "2", "--gamma0", "1e-310"),
+    ("crossover", "--beta", "2", "--gamma0", "1e-300", "--hbar", "1e10"),
     # NearZeroAmplitude at tau ~ 1343.8, row 8,828, in the last of the
     # grid's eighteen slices
     ("scan", "--beta", "1e300", "--tau-min", "1e-300", "--tau-max", "1e9",
