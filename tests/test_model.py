@@ -3,9 +3,10 @@
 import copy
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -125,9 +126,18 @@ def test_from_beta_refuses_a_beta_that_e0_cannot_hold(beta, units, held):
     hbar=st.floats(min_value=1e-3, max_value=1e3),
 )
 @settings(max_examples=200)
+@example(t=5e-324, gamma0=0.5, hbar=1.0)
 def test_time_conversion_round_trip(t, gamma0, hbar):
     m = BreitWignerModel.from_beta(2.0, gamma0=gamma0, hbar=hbar)
-    tau = m.tau_of_t(t)
+    try:
+        tau = m.tau_of_t(t)
+    except DomainError as exc:
+        # refused only where t is not 0 and the exact tau lies below the
+        # least subnormal, so that no double can hold it
+        assert "underflows double range" in str(exc)
+        assert t != 0
+        assert Fraction(gamma0) * Fraction(t) / Fraction(hbar) < Fraction(2) ** -1074
+        return
     assert m.t_of_tau(tau) == pytest.approx(t, rel=1e-14, abs=1e-300)
 
 
