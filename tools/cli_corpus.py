@@ -65,11 +65,14 @@ SCANS = (
 
 # quadrature scans through the other branches of the rule's graded start:
 # many halvings toward the pole image at small beta and tau, and no decay
-# points where beta is huge
+# points where beta is huge; then a scan near the small-beta edge, where
+# the rule bisects 45 to 90 times at each point after its start
 ORACLE_SCANS = tuple(
     ("scan", "--beta", beta, "--method", "quadrature", "--tau-min", lo, "--tau-max", "1e4",
      "--points", "25", "--output", "csv")
-    for beta, lo in (("0.001", "1e-6"), ("1e8", "0.01"), ("1e153", "0.01")))
+    for beta, lo in (("0.001", "1e-6"), ("1e8", "0.01"), ("1e153", "0.01"))) + (
+    ("scan", "--beta", "1e-7", "--method", "quadrature", "--tau-min", "1e-6",
+     "--tau-max", "1", "--points", "7"),)
 
 # the late-time series where D = beta**2 + 1/4 overflows a double
 HUGE_BETA = (
