@@ -95,8 +95,9 @@ _NODES = tuple((s * x, wk, wg) for x, wk, wg in zip(_XGK, _WGK, _WG)
 
 
 def _panel(a: float, b: float, beta: float, k: complex, rate: float) -> tuple:
-    # Gauss-Kronrod 7/15 of both ray integrands over u in [a, b]:
-    # (K15, |K15 - G7|, K15 of the modulus) for I, then the same for J.
+    # The record of the panel u in [a, b]: its ends, then Gauss-Kronrod
+    # 7/15 of both ray integrands over it, (K15, |K15 - G7|, K15 of the
+    # modulus) for I and the same for J.
     # The pole factors 1/(eta -+ i/2) never form eta**2, so a huge beta
     # underflows to 0 instead of overflowing to NaN.
     exp = math.exp
@@ -124,7 +125,7 @@ def _panel(a: float, b: float, beta: float, k: complex, rate: float) -> tuple:
             gi += wg * fi
             gj += wg * fj
     hj = 0.5 * h
-    return ki * h, abs(ki - gi) * h, ai * h, kj * hj, abs(kj - gj) * hj, aj * hj
+    return a, b, ki * h, abs(ki - gi) * h, ai * h, kj * hj, abs(kj - gj) * hj, aj * hj
 
 
 def _start(beta: float, omega: float, scale: float) -> list:
@@ -182,15 +183,11 @@ def quad(beta: float, omega: float) -> tuple:
     pole_i, pole_j = _TWO_PI * decay, -1j * math.pi * decay
     pole_floor_i, pole_floor_j = _ROUNDOFF * abs(pole_i), _ROUNDOFF * abs(pole_j)
     rel, tol = REL_TOL, ABS_TOL
-    # columns: panel ends, then the six sums of _panel, one list each
-    ends = _start(beta, omega, scale)
-    cols = [[], [], [], [], [], []]
-    for a, b in ends:
-        for col, value in zip(cols, _panel(a, b, beta, k, rate)):
-            col.append(value)
-    errs_i, errs_j = cols[1], cols[4]
+    # the partition, one _panel record per panel in the order of u
+    panels = [_panel(a, b, beta, k, rate) for a, b in _start(beta, omega, scale)]
     while True:
-        ri, ei, ai, rj, ej, aj = map(sum, cols)
+        cols = tuple(zip(*panels))
+        ri, ei, ai, rj, ej, aj = map(sum, cols[2:])
         value_i, value_j = pole_i + rot * ri, pole_j + rot * rj
         floor_i = (_ROUNDOFF * ai) / scale + pole_floor_i
         floor_j = (_ROUNDOFF * aj) / scale + pole_floor_j
@@ -202,19 +199,17 @@ def quad(beta: float, omega: float) -> tuple:
         # the loop at once and fails the contract at the caller
         wi = 1.0 / budget_i if err_i > budget_i else 0.0
         wj = 1.0 / budget_j if err_j > budget_j else 0.0
-        if (not (wi or wj) or len(ends) >= MAX_PANELS
+        if (not (wi or wj) or len(panels) >= MAX_PANELS
                 or floor_i > budget_i or floor_j > budget_j):
             break  # certified, out of panels, or below the roundoff floor
+        errs_i, errs_j = cols[3], cols[6]
         top_i, top_j = max(errs_i), max(errs_j)
         worst = errs_i.index(top_i) if top_i * wi >= top_j * wj else errs_j.index(top_j)
-        a, b = ends[worst]
+        a, b = panels[worst][:2]
         if b - a < _MIN_WIDTH * b:
             break
         mid = 0.5 * (a + b)
-        ends[worst:worst + 1] = (a, mid), (mid, b)
-        for col, left, right in zip(cols, _panel(a, mid, beta, k, rate),
-                                    _panel(mid, b, beta, k, rate)):
-            col[worst:worst + 1] = left, right
+        panels[worst:worst + 1] = _panel(a, mid, beta, k, rate), _panel(mid, b, beta, k, rate)
     return (value_i, err_i), ((value_j, err_j) if omega else None)
 
 
