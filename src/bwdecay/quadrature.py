@@ -28,11 +28,13 @@ The rule substitutes t = s tau, then t = u/(1 - u), and splits u in
 graded to the integrand's two features: halved toward the pole image
 from both sides, down to its half-width beta*tau*(1 - u)**2 in u, while
 the image's weight e^{-tau/2} counts; and halved toward u = 1, for the
-decay e^{-t}, where the ray integral counts.  The start holds at most
-45 panels.  From there it is a globally adaptive Gauss-Kronrod 7/15
-rule (R. Piessens et al., QUADPACK, Springer 1983) applied to I and J
-on the same panels: it bisects the panel with the largest error
-relative to its budget, until each of I and J carries a certificate
+decay e^{-t}, where the ray integral counts, or at tau = 0, where
+nothing decays, down to the ray's turn near 1 - u = 1/beta.  The start
+holds at most 45 panels.  From there it is a globally adaptive
+Gauss-Kronrod 7/15 rule (R. Piessens et al., QUADPACK, Springer 1983)
+applied to I and J on the same panels: it bisects the panel with the
+largest error relative to its budget, until each of I and J carries a
+certificate
 
     err = (sum of |K15 - G7| over the panels) + roundoff floor
        <= REL_TOL*|value| + ABS_TOL,
@@ -71,7 +73,9 @@ _MAX_BREAK = 745.0
 # from each side, and only while the image's weight e^{-t} exceeds
 # ABS_TOL.  It adds _DECAY_POINTS dyadic points toward u = 1 where the
 # ray integral needs a relative accuracy finer than _RAY_CUT.  So it
-# holds at most 2*20 + 3 + 2 = 45 panels, whatever beta and tau.
+# holds at most 2*20 + 3 + 2 = 45 panels, whatever beta and tau.  At
+# tau = 0 it halves toward u = 1 instead, only where beta > 350 leaves
+# no pole halvings, and at most 36 times, below beta = 1/(2 pi _ROUNDOFF).
 _HALVINGS = 20
 _POLE_CUT = -math.log(ABS_TOL)
 _DECAY_POINTS = 3
@@ -159,6 +163,18 @@ def _start(beta: float, omega: float, scale: float) -> list:
                                  + ABS_TOL) < _RAY_CUT:
         a = right[0] if right else u_break
         for _ in range(_DECAY_POINTS):
+            a = 0.5 * (a + 1.0)
+            decay.append(a)
+    # at tau = 0 nothing decays, and the ray integrand 1/(beta + i t)**2
+    # turns from about t**2/beta**2 to -1 in u near 1 - u = 1/beta.  The
+    # top panel's outer node, (1 - x0)/2 of its width from u = 1, sees
+    # that turn up to beta ~ 350; above, halve the top panel toward u = 1
+    # until it does, while the ray's share 1/beta of I exceeds I's
+    # roundoff floor.  Pole halvings need beta < 3/4 here, so the two
+    # never meet.
+    elif not omega and beta * _ROUNDOFF * _TWO_PI < 1.0:
+        a = u_break
+        while (1.0 - a) * (1.0 - _XGK[0]) * beta > 2.0:
             a = 0.5 * (a + 1.0)
             decay.append(a)
     points = sorted([0.0, u_break, 1.0, *(left + right + decay)[:max(0, MAX_PANELS - 2)]])

@@ -262,7 +262,7 @@ def test_graded_start_saves_panels(monkeypatch):
 
 
 @pytest.mark.parametrize("tau", [0.0, 5e-324, 1e-18, 1e4, 1e8])
-@pytest.mark.parametrize("beta", [5e-324, 1e-3, 1e150])
+@pytest.mark.parametrize("beta", [5e-324, 1e-3, 1.4e13, 1e150])
 def test_graded_start_is_bounded(monkeypatch, beta, tau):
     # at most 45 panels for every beta > 0 and tau >= 0, also where the
     # pole image's half-width underflows to 0 or tau is subnormal

@@ -98,12 +98,7 @@ def test_i_at_zero_is_its_floor_value(beta):
     assert value == i_beta(beta, 1e-300) == complex(i_beta_at_zero(beta), 0.0)
 
 
-# the oracle misses its ray at tau = 0 for 1e6 < beta < 1.6e9, by 1/(2 pi beta)
-_RAY_MISS = pytest.mark.xfail(strict=True, reason="ROADMAP item 22")
-
-
-@pytest.mark.parametrize("beta", [0.05, 2.0, 100.0, pytest.param(2e6, marks=_RAY_MISS),
-                                  pytest.param(1e8, marks=_RAY_MISS)])
+@pytest.mark.parametrize("beta", [0.05, 2.0, 100.0, 2e6, 1e7, 1e8, 1e9])
 def test_oracle_at_zero_is_the_floor_value(beta):
     value = i_beta(beta, 0.0)
     assert abs(i_by_quadrature(beta, 0.0) - value) / abs(value) < 1e-10
