@@ -257,12 +257,17 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
         """Canonical lifetime hbar / gamma0 (time units).
 
         Raises OverflowError where it leaves double range, as it does at
-        gamma0 = 1e-310.
+        gamma0 = 1e-310, and ArithmeticError where it falls below the
+        least normal double, as it does at hbar = 5e-324, gamma0 = 10.
         """
         lifetime = self.hbar / self.gamma0
         if lifetime == math.inf:
             raise OverflowError(
                 "the lifetime hbar / gamma0 overflows double range at hbar = {!r}, "
+                "gamma0 = {!r}".format(self.hbar, self.gamma0))
+        if lifetime < sys.float_info.min:
+            raise ArithmeticError(
+                "the lifetime hbar / gamma0 underflows double range at hbar = {!r}, "
                 "gamma0 = {!r}".format(self.hbar, self.gamma0))
         return lifetime
 
@@ -286,7 +291,9 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
     def t_of_tau(self, tau: float) -> float:
         """Physical time for finite dimensionless ``tau`` >= 0; inverse of tau_of_t.
 
-        Raises OverflowError where the time leaves double range.
+        Raises OverflowError where the time leaves double range, and
+        ArithmeticError where a time that is not 0 falls below the least
+        normal double.
         """
         check_tau(tau, zero_ok=True)
         t = self.hbar * tau / self.gamma0
@@ -298,6 +305,10 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
                     "the time t = hbar * tau / gamma0 overflows double range at "
                     "tau = {!r}, hbar = {!r}, gamma0 = {!r}".format(
                         tau, self.hbar, self.gamma0))
+        if t < sys.float_info.min and tau != 0:
+            raise ArithmeticError(
+                "the time t = hbar * tau / gamma0 underflows double range at "
+                "tau = {!r}, hbar = {!r}, gamma0 = {!r}".format(tau, self.hbar, self.gamma0))
         return t
 
     def normalization(self) -> float:

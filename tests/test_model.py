@@ -127,6 +127,7 @@ def test_from_beta_refuses_a_beta_that_e0_cannot_hold(beta, units, held):
 )
 @settings(max_examples=200)
 @example(t=5e-324, gamma0=0.5, hbar=1.0)
+@example(t=1e-310, gamma0=1.0, hbar=1.0)
 def test_time_conversion_round_trip(t, gamma0, hbar):
     m = BreitWignerModel.from_beta(2.0, gamma0=gamma0, hbar=hbar)
     try:
@@ -138,7 +139,16 @@ def test_time_conversion_round_trip(t, gamma0, hbar):
         assert t != 0
         assert Fraction(gamma0) * Fraction(t) / Fraction(hbar) < Fraction(2) ** -1074
         return
-    assert m.t_of_tau(tau) == pytest.approx(t, rel=1e-14, abs=1e-300)
+    try:
+        back = m.t_of_tau(tau)
+    except ArithmeticError as exc:
+        # refused only where tau is not 0 and the exact time lies below
+        # the least normal double, where a subnormal would lose bits
+        assert "underflows double range" in str(exc)
+        assert tau != 0
+        assert Fraction(hbar) * Fraction(tau) / Fraction(gamma0) < Fraction(2) ** -1022
+        return
+    assert back == pytest.approx(t, rel=1e-14, abs=1e-300)
 
 
 def test_time_conversion_rejects_negative():
@@ -194,6 +204,15 @@ def test_physical_values_beyond_double_range_are_refused():
                                               "gamma0 = 1e-300, hbar = 10000000000.0"):
             wide.tau_of_t(t)
     assert wide.tau_of_t(0.0) == 0.0 and wide.tau_of_t(1e20) == 1e-290
+    # and values that are not 0 below the least normal double, which a
+    # subnormal would hold with lost bits or round to 0
+    short = BreitWignerModel.from_beta(2.0, gamma0=10.0, hbar=5e-324)
+    with pytest.raises(ArithmeticError, match="^the lifetime hbar / gamma0 underflows"):
+        short.lifetime
+    with pytest.raises(ArithmeticError, match="^the time t = hbar [*] tau / gamma0 "
+                                              "underflows double range at tau = 11.44"):
+        short.t_of_tau(11.44)
+    assert short.t_of_tau(0.0) == 0.0 and short.t_of_tau(1e300) == 5e-324 * 1e300 / 10.0
 
 
 def test_normalization_is_computed_once():

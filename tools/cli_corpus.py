@@ -2,19 +2,21 @@
 
 Runs each argument list of ``corpus()`` through ``bwdecay.cli.main``
 in one process and writes, for each, its stdout, stderr and exit code
-to a JSON file.  The list covers ``info``, ``crossover`` at every order, and the exact,
-asymptotic and quadrature scans in CSV and JSON over a spread of beta,
-quadrature scans at beta = 0.001, 1e8 and 1e153, an asymptotic scan at
-beta = 1e200 and a cross-over at 1.5e154, where D = beta**2 + 1/4
-overflows, exact, quadrature and asymptotic scans at beta = 1e-323 or
-1e-12, an exact scan at subnormal tau, two scans of 8,193 rows, to
-stdout and to an ``--out`` file, two scans of 1,025 rows on a linear
-grid and on a log grid whose end ratio overflows, ``info`` and
-``crossover`` in physical units, and the usage, model and numerical error
-paths, a lifetime and a cross-over time beyond double range among them.  An uncaught exception is recorded as exit 1, with its type and
-message on stderr, and the corpus goes on.  A call
-with ``--out`` writes to a file in a temporary directory, and its record
-also holds the file's contents.
+to a JSON file.  The list covers ``info``, ``crossover`` at every
+order, and the exact, asymptotic and quadrature scans in CSV and JSON
+over a spread of beta, quadrature scans at beta = 0.001, 1e8 and 1e153
+and a deeply refined one at 1e-7, an asymptotic scan at beta = 1e200
+and a cross-over at 1.5e154, where D = beta**2 + 1/4 overflows, exact,
+quadrature and asymptotic scans at beta = 1e-323 or 1e-12, an exact
+scan at subnormal tau, two scans of 8,193 rows, to stdout and to an
+``--out`` file, two scans of 1,025 rows on a linear grid and on a log
+grid whose end ratio overflows, ``info`` and ``crossover`` in physical
+units, and the usage, model and numerical error paths, a lifetime and
+a cross-over time above and below double range among them.  An
+uncaught exception is recorded as exit 1, with its type and message on
+stderr, and the corpus goes on.  A call with ``--out`` writes to a
+file in a temporary directory, and its record also holds the file's
+contents.
 Two trees that print the same bytes give the same file, so a refactor
 that should change no output is checked with
 
@@ -163,6 +165,10 @@ ERRORS = (
     # t = hbar tau_T / gamma0 ~ 1.1e311 though tau_T = 11.44 solves
     ("info", "--beta", "2", "--gamma0", "1e-310"),
     ("crossover", "--beta", "2", "--gamma0", "1e-300", "--hbar", "1e10"),
+    # and below it, where hbar / gamma0 = 5e-325 and t ~ 5.7e-324 would
+    # print as 0 and one subnormal unit
+    ("info", "--beta", "2", "--hbar", "5e-324", "--gamma0", "10"),
+    ("crossover", "--beta", "2", "--hbar", "5e-324", "--gamma0", "10"),
     # NearZeroAmplitude at tau ~ 1343.8, row 8,828, in the last of the
     # grid's eighteen slices
     ("scan", "--beta", "1e300", "--tau-min", "1e-300", "--tau-max", "1e9",
