@@ -3,7 +3,8 @@ package imports exactly what pyproject.toml declares and uses every
 import, its modules import each other without cycles and the
 late-time modules without the exact and quadrature routes, its
 export list is sorted, resolves and keeps the facade's contract, and
-every failure type it raises is one the CLI reports with exit 3."""
+every failure type it raises is one the CLI reports with exit 3, and
+a failing property test is reported as one failure."""
 
 import ast
 import graphlib
@@ -192,3 +193,19 @@ def test_every_failure_type_exits_3():
                 and cls.__module__ == errors.__name__ and cls is not errors.DomainError]
     assert failures
     assert all(issubclass(cls, ArithmeticError) for cls in failures), failures
+
+
+def test_a_failing_property_test_is_one_failure(tmp_path):
+    # on a failure Hypothesis imports libcst, whose DeprecationWarning
+    # the "error" filter of pyproject.toml would raise inside a pytest
+    # hook, ending the whole run with INTERNALERROR (exit 3)
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n")
+    res = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert res.returncode == 1 and "1 failed" in res.stdout, res.stdout + res.stderr
