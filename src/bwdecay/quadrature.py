@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import itemgetter
 
 from .errors import ToleranceNotMet
 from .model import _TAU_FLOOR, _TWO_PI, BreitWignerModel, _phase, check_real, check_tau
@@ -199,11 +200,12 @@ def quad(beta: float, omega: float) -> tuple:
     pole_i, pole_j = _TWO_PI * decay, -1j * math.pi * decay
     pole_floor_i, pole_floor_j = _ROUNDOFF * abs(pole_i), _ROUNDOFF * abs(pole_j)
     rel, tol = REL_TOL, ABS_TOL
-    # the partition, one _panel record per panel in the order of u
+    # the partition, one _panel record per panel in the order of u, and
+    # the getters of a record's six sums
     panels = [_panel(a, b, beta, k, rate) for a, b in _start(beta, omega, scale)]
+    sums = [itemgetter(j) for j in range(2, 8)]
     while True:
-        cols = tuple(zip(*panels))
-        ri, ei, ai, rj, ej, aj = map(sum, cols[2:])
+        ri, ei, ai, rj, ej, aj = [sum(map(get, panels)) for get in sums]
         value_i, value_j = pole_i + rot * ri, pole_j + rot * rj
         floor_i = (_ROUNDOFF * ai) / scale + pole_floor_i
         floor_j = (_ROUNDOFF * aj) / scale + pole_floor_j
@@ -218,7 +220,7 @@ def quad(beta: float, omega: float) -> tuple:
         if (not (wi or wj) or len(panels) >= MAX_PANELS
                 or floor_i > budget_i or floor_j > budget_j):
             break  # certified, out of panels, or below the roundoff floor
-        errs_i, errs_j = cols[3], cols[6]
+        errs_i, errs_j = list(map(sums[1], panels)), list(map(sums[4], panels))
         top_i, top_j = max(errs_i), max(errs_j)
         worst = errs_i.index(top_i) if top_i * wi >= top_j * wj else errs_j.index(top_j)
         a, b = panels[worst][:2]
