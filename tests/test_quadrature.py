@@ -249,14 +249,6 @@ def test_i_below_the_tau_floor_is_its_limit(beta, tau):
     assert _rel(amplitude_by_quadrature(m, tau), limit) < 1e-10
 
 
-@pytest.mark.parametrize("beta", [400.0, 2e6, 1e7, 1e8, 1e9, 2e9, 1e13, 1e14])
-def test_certificate_covers_the_ray_at_zero(beta):
-    # at tau = 0 the ray carries 2 arctan(1/(2 beta)) ~ 1/beta of I, and
-    # turns near 1 - u = 1/beta, beyond the top panel of a coarse start
-    (value, err), _ = quad(beta, 0.0)
-    assert abs(value - i_beta(beta, 0.0)) <= err
-
-
 @pytest.mark.parametrize(
     "fn,beta,tau",
     [

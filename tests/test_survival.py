@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bwdecay import survival
 from bwdecay.errors import DomainError, NearZeroAmplitude
 from bwdecay.model import BreitWignerModel
-from bwdecay.quadrature import amplitude_by_quadrature, i_by_quadrature
+from bwdecay.quadrature import amplitude_by_quadrature, i_by_quadrature, quad
 from bwdecay.scan import scan_rows, time_grid
 from bwdecay.survival import (
     AmplitudeValue,
@@ -98,10 +98,17 @@ def test_i_at_zero_is_its_floor_value(beta):
     assert value == i_beta(beta, 1e-300) == complex(i_beta_at_zero(beta), 0.0)
 
 
-@pytest.mark.parametrize("beta", [0.05, 2.0, 100.0, 2e6, 1e7, 1e8, 1e9])
+@pytest.mark.parametrize("beta", [0.05, 2.0, 100.0, 400.0, 2e6, 1e7, 1e8, 1e9, 2e9,
+                                  1e13, 1e14])
 def test_oracle_at_zero_is_the_floor_value(beta):
+    # the ray carries 2 arctan(1/(2 beta)) ~ 1/beta of I(0) and turns
+    # near 1 - u = 1/beta, beyond the top panel of a coarse start; the
+    # oracle's certificate must cover its distance to the closed form
     value = i_beta(beta, 0.0)
-    assert abs(i_by_quadrature(beta, 0.0) - value) / abs(value) < 1e-10
+    (i_val, err), _ = quad(beta, 0.0)
+    assert i_val == i_by_quadrature(beta, 0.0)
+    assert abs(i_val - value) <= err
+    assert abs(i_val - value) / abs(value) < 1e-10
 
 
 @pytest.mark.parametrize("call,bad", [
