@@ -308,7 +308,8 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
         if t < sys.float_info.min and tau != 0:
             raise ArithmeticError(
                 "the time t = hbar * tau / gamma0 underflows double range at "
-                "tau = {!r}, hbar = {!r}, gamma0 = {!r}".format(tau, self.hbar, self.gamma0))
+                "tau = {!r}, hbar = {!r}, gamma0 = {!r}".format(
+                    tau, self.hbar, self.gamma0))
         return t
 
     def normalization(self) -> float:

@@ -227,7 +227,8 @@ def quad(beta: float, omega: float) -> tuple:
         if b - a < _MIN_WIDTH * b:
             break
         mid = 0.5 * (a + b)
-        panels[worst:worst + 1] = _panel(a, mid, beta, k, rate), _panel(mid, b, beta, k, rate)
+        panels[worst:worst + 1] = (_panel(a, mid, beta, k, rate),
+                                   _panel(mid, b, beta, k, rate))
     return (value_i, err_i), ((value_j, err_j) if omega else None)
 
 
