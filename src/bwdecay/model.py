@@ -91,6 +91,25 @@ def _phase(beta: float, tau: float) -> complex:
     return cmath.exp(1j * beta_tau)
 
 
+def _mul_div(a: float, b: float, c: float) -> float:
+    """a * b / c for finite a, b and c != 0, within two roundings wherever
+    it is a normal double, and +-inf where it overflows.
+
+    The product and quotient are taken of the frexp mantissas, which can
+    neither over- nor underflow, and the exponents are added apart; the
+    rounding is that of a * b / c wherever a * b and the result are
+    normal.
+    """
+    ma, ea = math.frexp(a)
+    mb, eb = math.frexp(b)
+    mc, ec = math.frexp(c)
+    m = ma * mb / mc
+    try:
+        return math.ldexp(m, ea + eb - ec)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
 class _Grid(Sequence):
     """What time_grid returns: its points, each formed from its index when
     asked for; int indices may be negative, and slices are lists."""
@@ -277,10 +296,7 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
         Raises DomainError where t is not 0 but tau rounds to 0.
         """
         check_real("t", t)
-        tau = self.gamma0 * t / self.hbar
-        if tau == math.inf or tau == 0 and t != 0:
-            # the product over- or underflowed; the quotient may not
-            tau = self.gamma0 / self.hbar * t
+        tau = _mul_div(self.gamma0, t, self.hbar)
         check_tau(tau, hint=" (from t = {!r})".format(t), zero_ok=True)
         if tau == 0 and t != 0:
             raise DomainError(
@@ -296,15 +312,12 @@ class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):
         normal double.
         """
         check_tau(tau, zero_ok=True)
-        t = self.hbar * tau / self.gamma0
-        if t == math.inf or t == 0 and tau != 0:
-            # the product over- or underflowed; the quotient may not
-            t = self.hbar / self.gamma0 * tau
-            if t == math.inf:
-                raise OverflowError(
-                    "the time t = hbar * tau / gamma0 overflows double range at "
-                    "tau = {!r}, hbar = {!r}, gamma0 = {!r}".format(
-                        tau, self.hbar, self.gamma0))
+        t = _mul_div(self.hbar, tau, self.gamma0)
+        if t == math.inf:
+            raise OverflowError(
+                "the time t = hbar * tau / gamma0 overflows double range at "
+                "tau = {!r}, hbar = {!r}, gamma0 = {!r}".format(
+                    tau, self.hbar, self.gamma0))
         if t < sys.float_info.min and tau != 0:
             raise ArithmeticError(
                 "the time t = hbar * tau / gamma0 underflows double range at "

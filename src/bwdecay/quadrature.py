@@ -23,14 +23,17 @@ alone is integrated along the same ray, with no weight.  Only tau >= 0
 is integrated: I(-tau) = conj(I(tau)) holds for the integral, and no
 caller asks for it.
 
-The rule substitutes t = s tau, then t = u/(1 - u), and splits u in
-[0, 1] at the image of the pole, t = tau/2.  It starts from panels
-graded to the integrand's two features: halved toward the pole image
-from both sides, down to its half-width beta*tau*(1 - u)**2 in u, while
-the image's weight e^{-tau/2} counts; and halved toward u = 1, for the
-decay e^{-t}, where the ray integral counts, or at tau = 0, where
-nothing decays, down to the ray's turn near 1 - u = 1/beta.  The start
-holds at most 45 panels.  From there it is a globally adaptive
+The rule substitutes t = s tau (t = s at tau = 0), then t = u/(1 - u).
+The factor 1/(eta + i/2) has its pole at t_p = tau (1/2 + i beta),
+beta*tau off the ray, where the integrand is res/(eta + i/2) plus a
+smooth rest.  Where the pole is near and its weight e^{-tau/2} counts,
+that part is subtracted at each node and its elementary integral over
+u is added back (P. J. Davis and P. Rabinowitz, Methods of Numerical
+Integration, 2nd ed., Academic Press 1984), so the rule sees a smooth
+integrand at every beta.  It starts from [0, 1] halved toward u = 1:
+for the decay e^{-t}, where the ray integral counts, or at tau = 0,
+where nothing decays, down to the ray's turn near 1 - u = 1/beta.  The
+start holds at most 37 panels.  From there it is a globally adaptive
 Gauss-Kronrod 7/15 rule (R. Piessens et al., QUADPACK, Springer 1983)
 applied to I and J on the same panels: it bisects the panel with the
 largest error relative to its budget, until each of I and J carries a
@@ -46,6 +49,7 @@ estimate.  The module is pure Python and needs no third-party package.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from operator import itemgetter
@@ -67,17 +71,11 @@ _ROUNDOFF = 50.0 * 2.0 ** -52
 # nodes would round onto the endpoints.
 _MIN_WIDTH = 1e-13
 
-# The split at the pole image t = tau/2 is capped where e^{-t} underflows.
-_MAX_BREAK = 745.0
-
-# The graded start halves toward the pole image at most _HALVINGS times
-# from each side, and only while the image's weight e^{-t} exceeds
-# ABS_TOL.  It adds _DECAY_POINTS dyadic points toward u = 1 where the
-# ray integral needs a relative accuracy finer than _RAY_CUT.  So it
-# holds at most 2*20 + 3 + 2 = 45 panels, whatever beta and tau.  At
-# tau = 0 it halves toward u = 1 instead, only where beta > 350 leaves
-# no pole halvings, and at most 36 times, below beta = 1/(2 pi _ROUNDOFF).
-_HALVINGS = 20
+# The rule subtracts the pole part only while the pole's weight e^{-t}
+# exceeds ABS_TOL.  The start adds _DECAY_POINTS dyadic points toward
+# u = 1 where the ray integral needs a relative accuracy finer than
+# _RAY_CUT; at tau = 0 it halves toward u = 1 instead, at most 36 times
+# below beta = 1/(2 pi _ROUNDOFF).  So it holds at most 37 panels.
 _POLE_CUT = -math.log(ABS_TOL)
 _DECAY_POINTS = 3
 _RAY_CUT = 1e-5
@@ -99,10 +97,11 @@ _NODES = tuple((s * x, wk, wg) for x, wk, wg in zip(_XGK, _WGK, _WG)
     (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),)
 
 
-def _panel(a: float, b: float, beta: float, k: complex, rate: float) -> tuple:
+def _panel(a: float, b: float, beta: float, k: complex, rate: float,
+           res: complex) -> tuple:
     # The record of the panel u in [a, b]: its ends, then Gauss-Kronrod
     # 7/15 of both ray integrands over it, (K15, |K15 - G7|, K15 of the
-    # modulus) for I and the same for J.
+    # modulus) for I and the same for J, each less its pole part res*q.
     # The pole factors 1/(eta -+ i/2) never form eta**2, so a huge beta
     # underflows to 0 instead of overflowing to NaN.
     exp = math.exp
@@ -120,8 +119,11 @@ def _panel(a: float, b: float, beta: float, k: complex, rate: float) -> tuple:
         eta = k * t - beta
         p = 1.0 / (eta - 0.5j)
         q = 1.0 / (eta + 0.5j)
-        fi = w * (p * q)
-        fj = w * (p + q)  # twice the J integrand
+        # the pole part takes the node's own q, so that the rounding of
+        # t, magnified by q near the pole, cancels
+        rq = res * q
+        fi = w * (p * q) - rq
+        fj = w * (p + q) + 1j * rq  # twice the J integrand
         ki += wk * fi
         ai += wk * abs(fi)
         kj += wk * fj
@@ -133,52 +135,34 @@ def _panel(a: float, b: float, beta: float, k: complex, rate: float) -> tuple:
     return a, b, ki * h, abs(ki - gi) * h, ai * h, kj * hj, abs(kj - gj) * hj, aj * hj
 
 
-def _start(beta: float, omega: float, scale: float) -> list:
-    # The first panels, graded to the integrand's two features in u.  Each
-    # point bisects a panel made before it, so the rule could reach this
-    # partition itself; starting on it saves the evaluations of the
-    # coarser panels that bisection would throw away.  At most
-    # MAX_PANELS - 2 points join the split at the pole image, so that
-    # MAX_PANELS counts every panel.
-    t_break = min(0.5 * scale, _MAX_BREAK)
-    u_break = t_break / (1.0 + t_break)
-    left, right, decay = [], [], []
-    if t_break < _POLE_CUT:
-        # the pole factor 1/(eta -+ i/2) peaks at u_break, over a
-        # half-width beta*scale in t and w in u: halve toward it from both
-        # sides down to about w, or _HALVINGS times where w underflows
-        w = beta * scale * (1.0 - u_break) ** 2
-        a, b = 0.0, 1.0
-        while u_break - a > w and len(left) < _HALVINGS:
-            a = 0.5 * (a + u_break)
-            left.append(a)
-        while b - u_break > w and len(right) < _HALVINGS:
-            b = 0.5 * (u_break + b)
-            right.append(b)
-    # the weight e^{-t} falls off over t = 1, 3, 7, ...: halve the last
-    # panel toward u = 1 where the ray integral must be resolved finely.
-    # At large beta the ray integral of J, of size 1/(beta*scale), sits
-    # under a budget the pole term sets, and needs only _RAY_CUT relative
-    # accuracy or coarser; a panel or two resolve it there.
-    if omega and beta * scale * (REL_TOL * math.pi * math.exp(-0.5 * scale)
-                                 + ABS_TOL) < _RAY_CUT:
-        a = right[0] if right else u_break
-        for _ in range(_DECAY_POINTS):
-            a = 0.5 * (a + 1.0)
-            decay.append(a)
-    # at tau = 0 nothing decays, and the ray integrand 1/(beta + i t)**2
+def _start(beta: float, omega: float) -> list:
+    # The first panels, [0, 1] halved toward u = 1.  Each point bisects a
+    # panel made before it, so the rule could reach this partition
+    # itself; starting on it saves the evaluations of the coarser panels
+    # that bisection would throw away.  At most MAX_PANELS - 1 points
+    # join [0, 1], so that MAX_PANELS counts every panel.
+    # The weight e^{-t} falls off over t = 1, 3, 7, ...: put points there,
+    # at u = 1/2, 3/4, 7/8, where the ray integral must be resolved
+    # finely.  At large beta the ray integral of J, of size
+    # 1/(beta*omega), sits under a budget the pole term sets, and needs
+    # only _RAY_CUT relative accuracy or coarser; one panel resolves it.
+    # At tau = 0 nothing decays, and the ray integrand 1/(beta + i t)**2
     # turns from about t**2/beta**2 to -1 in u near 1 - u = 1/beta.  The
     # top panel's outer node, (1 - x0)/2 of its width from u = 1, sees
-    # that turn up to beta ~ 350; above, halve the top panel toward u = 1
+    # that turn up to beta ~ 230; above, halve the top panel toward u = 1
     # until it does, while the ray's share 1/beta of I exceeds I's
-    # roundoff floor.  Pole halvings need beta < 3/4 here, so the two
-    # never meet.
-    elif not omega and beta * _ROUNDOFF * _TWO_PI < 1.0:
-        a = u_break
+    # roundoff floor.
+    points = []
+    if omega:
+        if beta * omega * (REL_TOL * math.pi * math.exp(-0.5 * omega)
+                           + ABS_TOL) < _RAY_CUT:
+            points = [1.0 - 0.5 ** n for n in range(1, _DECAY_POINTS + 1)]
+    elif beta * _ROUNDOFF * _TWO_PI < 1.0:
+        a = 0.0
         while (1.0 - a) * (1.0 - _XGK[0]) * beta > 2.0:
             a = 0.5 * (a + 1.0)
-            decay.append(a)
-    points = sorted([0.0, u_break, 1.0, *(left + right + decay)[:max(0, MAX_PANELS - 2)]])
+            points.append(a)
+    points = [0.0, *points[:MAX_PANELS - 1], 1.0]
     return list(zip(points, points[1:]))
 
 
@@ -199,13 +183,25 @@ def quad(beta: float, omega: float) -> tuple:
     decay = math.exp(-0.5 * omega)
     pole_i, pole_j = _TWO_PI * decay, -1j * math.pi * decay
     pole_floor_i, pole_floor_j = _ROUNDOFF * abs(pole_i), _ROUNDOFF * abs(pole_j)
+    # q = 1/(eta + i/2) = 1/(k (t - t_p)).  Where the pole t_p lies nearer
+    # the ray than its image u_p lies to u = 0, in u, and its weight
+    # counts, the panels integrate I less res*q and J less -i res q/2,
+    # and the integrals of those over u in [0, 1] start the sums.
+    res = add_i = 0j
+    if 0.0 < 0.5 * scale < _POLE_CUT and beta < 0.5 + 0.25 * scale:
+        t_p = scale * complex(0.5, beta)
+        res = 1j * cmath.exp(-rate * t_p) * (1.0 + t_p) ** 2
+        add_i = res / k * (-cmath.log(-t_p) / (1.0 + t_p) ** 2 - 1.0 / (1.0 + t_p))
+    add_j = -0.5j * add_i
     rel, tol = REL_TOL, ABS_TOL
     # the partition, one _panel record per panel in the order of u, and
-    # the getters of a record's six sums
-    panels = [_panel(a, b, beta, k, rate) for a, b in _start(beta, omega, scale)]
+    # the getters of a record's six sums, each begun from the add-back
+    panels = [_panel(a, b, beta, k, rate, res) for a, b in _start(beta, omega)]
     sums = [itemgetter(j) for j in range(2, 8)]
+    starts = (add_i, 0.0, abs(add_i), add_j, 0.0, abs(add_j))
     while True:
-        ri, ei, ai, rj, ej, aj = [sum(map(get, panels)) for get in sums]
+        ri, ei, ai, rj, ej, aj = [sum(map(get, panels), start)
+                                  for get, start in zip(sums, starts)]
         value_i, value_j = pole_i + rot * ri, pole_j + rot * rj
         floor_i = (_ROUNDOFF * ai) / scale + pole_floor_i
         floor_j = (_ROUNDOFF * aj) / scale + pole_floor_j
@@ -227,8 +223,8 @@ def quad(beta: float, omega: float) -> tuple:
         if b - a < _MIN_WIDTH * b:
             break
         mid = 0.5 * (a + b)
-        panels[worst:worst + 1] = (_panel(a, mid, beta, k, rate),
-                                   _panel(mid, b, beta, k, rate))
+        panels[worst:worst + 1] = (_panel(a, mid, beta, k, rate, res),
+                                   _panel(mid, b, beta, k, rate, res))
     return (value_i, err_i), ((value_j, err_j) if omega else None)
 
 

@@ -10,8 +10,8 @@ and J/I share one run of the oracle's rule, which integrates I and J
 together on the same panels.  The sharing goes through one-entry memos,
 which must never change a value or swallow an error.  The late-time
 coefficient tables are generated once per beta, not per point.  The
-oracle's rule starts from at most 45 panels graded to the integrand's
-features, and evaluates at most 11 per point on the oracle grid.  An
+oracle's rule starts from at most 37 panels graded toward u = 1, and
+evaluates at most 9 per point on the oracle grid.  An
 exact row makes about 31 Python-level calls and an asymptotic row 27.
 The E1 power series is a Horner polynomial of at most 33 steps on
 |z| <= 4 and 124 on |z| <= 50, and it sees only arguments where its
@@ -243,9 +243,9 @@ def test_quadrature_row_integrates_i_once(monkeypatch):
 
 def test_graded_start_saves_panels(monkeypatch):
     # on the oracle workload's grid, 5 nominal beta by 40 log tau on
-    # [0.01, 40], the rule evaluates at most 11 panels per point; from a
-    # two-panel start it bisects toward the same features and evaluates
-    # 15.4, throwing away the 15 nodes of each panel it splits
+    # [0.01, 40], the rule evaluates at most 9 panels per point; from a
+    # one-panel start it bisects toward the decay and evaluates 11.3,
+    # throwing away the 15 nodes of each panel it splits
     calls = []
     panel = quadrature._panel
 
@@ -258,14 +258,14 @@ def test_graded_start_saves_panels(monkeypatch):
               for tau in time_grid(0.01, 40.0, 40, "log")]
     for beta, tau in points:
         quadrature.quad(beta, tau)
-    assert len(calls) <= 11 * len(points)
+    assert len(calls) <= 9 * len(points)
 
 
 @pytest.mark.parametrize("tau", [0.0, 5e-324, 1e-18, 1e4, 1e8])
 @pytest.mark.parametrize("beta", [5e-324, 1e-3, 1.4e13, 1e150])
 def test_graded_start_is_bounded(monkeypatch, beta, tau):
-    # at most 45 panels for every beta > 0 and tau >= 0, also where the
-    # pole image's half-width underflows to 0 or tau is subnormal
+    # at most 37 panels for every beta > 0 and tau >= 0, also where
+    # tau is subnormal; a huge beta starts on one panel
     sizes = []
     start = quadrature._start
 
@@ -276,7 +276,7 @@ def test_graded_start_is_bounded(monkeypatch, beta, tau):
 
     monkeypatch.setattr(quadrature, "_start", recording)
     quadrature.quad(beta, tau)
-    assert len(sizes) == 1 and 2 <= sizes[0] <= 45
+    assert len(sizes) == 1 and sizes[0] <= 37
 
 
 def test_scan_order_does_not_change_rows():

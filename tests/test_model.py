@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -174,16 +175,30 @@ def test_time_conversions_keep_the_product_where_it_is_finite():
         assert m.tau_of_t(t) == m.gamma0 * t / m.hbar
 
 
-def test_time_conversions_take_the_quotient_where_the_product_leaves_range():
-    # hbar * tau and gamma0 * t over- or underflow, though the times fit
-    assert BreitWignerModel.from_beta(2.0, gamma0=1e10, hbar=1e300).t_of_tau(
-        1e10) == 1e300
-    assert BreitWignerModel.from_beta(2.0, gamma0=1e300, hbar=1e300).tau_of_t(
-        1e10) == 1e10
-    assert BreitWignerModel.from_beta(2.0, gamma0=1e-300, hbar=1e-200).t_of_tau(
-        1e-200) == 1e-100
-    assert BreitWignerModel.from_beta(2.0, gamma0=1e-300, hbar=1e-300).tau_of_t(
-        1e-100) == 1e-100
+def test_time_conversions_are_within_two_roundings():
+    # ROADMAP item 28: each conversion returns a * b / c within 2 ulps of
+    # the exact quotient of its doubles (2 units of 2**-1074 where that is
+    # subnormal), also where a * b over- or underflows and the quotient
+    # fits.  Refusals are checked apart.
+    rng = random.Random(28)
+    cases = [(1e300, 1e10, 1e10), (1e300, 1e300, 1e10), (1e-200, 1e-300, 1e-200),
+             (1e-300, 1e-300, 1e-100), (1e-320, 1e-300, 11.44463405634605),
+             (9.098483364816264e-255, 1.6021866631481276e-62, 9.638581248930075e-259)]
+    cases += [tuple(10.0 ** rng.uniform(-300, 300) for _ in range(3))
+              for _ in range(2000)]
+    returned = 0
+    for hbar, gamma0, x in cases:
+        m = BreitWignerModel.from_beta(2.0, gamma0=gamma0, hbar=hbar)
+        h, g, y = Fraction(hbar), Fraction(gamma0), Fraction(x)
+        for convert, exact in ((m.t_of_tau, h * y / g), (m.tau_of_t, g * y / h)):
+            try:
+                value = convert(x)
+            except (ArithmeticError, DomainError):
+                continue
+            returned += 1
+            assert abs(Fraction(value) - exact) <= 2 * Fraction(math.ulp(float(exact))), (
+                convert.__name__, hbar, gamma0, x)
+    assert returned > 2500
 
 
 def test_physical_values_beyond_double_range_are_refused():

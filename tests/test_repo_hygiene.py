@@ -154,6 +154,9 @@ def test_import_graph_is_layered():
     routes = {"scan", "survival", "quadrature", "_kernels_py"}
     for name in ("crossover", "asymptotics", "model", "errors"):
         assert not _reach(graph, name) & routes, name
+    # the quadrature oracle checks the closed form, so it shares no code
+    # with it: neither the closed form nor its E1 kernels
+    assert not _reach(graph, "quadrature") & {"survival", "_kernels_py"}
 
 
 # the public surface, pinned: adding or dropping a name is an API change

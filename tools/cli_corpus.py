@@ -4,15 +4,16 @@ Runs each argument list of ``corpus()`` through ``bwdecay.cli.main``
 in one process and writes, for each, its stdout, stderr and exit code
 to a JSON file.  The list covers ``info``, ``crossover`` at every
 order, and the exact, asymptotic and quadrature scans in CSV and JSON
-over a spread of beta, quadrature scans at beta = 0.001, 1e8 and 1e153
-and a deeply refined one at 1e-7, an asymptotic scan at beta = 1e200
+over a spread of beta, quadrature scans at beta = 0.001, 1e8, 1e153,
+1e-7 and 1e-8, an asymptotic scan at beta = 1e200
 and a cross-over at 1.5e154, where D = beta**2 + 1/4 overflows, exact,
 quadrature and asymptotic scans at beta = 1e-323 or 1e-12, an exact
 scan at subnormal tau, two scans of 8,193 rows, to stdout and to an
 ``--out`` file, two scans of 1,025 rows on a linear grid and on a log
 grid whose end ratio overflows, ``info`` and ``crossover`` in physical
-units, and the usage, model and numerical error paths, a lifetime and
-a cross-over time above and below double range among them.  An
+units, one with a subnormal ``hbar * tau_T``, and the usage, model and
+numerical error paths, a lifetime and a cross-over time above and
+below double range among them.  An
 uncaught exception is recorded as exit 1, with its type and message on
 stderr, and the corpus goes on.  A call with ``--out`` writes to a
 file in a temporary directory, and its record also holds the file's
@@ -65,16 +66,17 @@ SCANS = (
      "--points", "11"),
 )
 
-# quadrature scans through the other branches of the rule's graded start:
-# many halvings toward the pole image at small beta and tau, and no decay
-# points where beta is huge; then a scan near the small-beta edge, where
-# the rule bisects 45 to 90 times at each point after its start
+# quadrature scans through the other branches of the rule's start and
+# its pole subtraction: the pole within 1e-3 tau of the ray at small beta
+# and tau, and no decay points where beta is huge; then scans at small
+# beta, where the ray passes within beta of the pole
 ORACLE_SCANS = tuple(
     ("scan", "--beta", beta, "--method", "quadrature", "--tau-min", lo, "--tau-max", "1e4",
      "--points", "25", "--output", "csv")
     for beta, lo in (("0.001", "1e-6"), ("1e8", "0.01"), ("1e153", "0.01"))) + (
     ("scan", "--beta", "1e-7", "--method", "quadrature", "--tau-min", "1e-6",
-     "--tau-max", "1", "--points", "7"),)
+     "--tau-max", "1", "--points", "7"),
+    ("scan", "--beta", "1e-8", "--method", "quadrature", "--points", "9"),)
 
 # the late-time series where D = beta**2 + 1/4 overflows a double
 HUGE_BETA = (
@@ -84,8 +86,8 @@ HUGE_BETA = (
 )
 
 # beta * tau underflows at the smallest beta: the exact route on the
-# lower lip of the E1 cut, the oracle's refusal, and the asymptotic
-# kappa that the few bits of a subnormal beta leave
+# lower lip of the E1 cut, the oracle at beta = 1e-12, and the
+# asymptotic kappa that the few bits of a subnormal beta leave
 SMALL_BETA = (
     ("scan", "--beta", "1e-323", "--points", "4"),
     ("scan", "--beta", "1e-12", "--method", "quadrature", "--points", "3"),
@@ -134,7 +136,9 @@ UNITS = (
 UNIT_CALLS = tuple(
     call for model in UNITS
     for call in (("info", *model), ("info", *model, "--output", "csv"),
-                 ("crossover", *model), ("crossover", *model, "--terms", "4")))
+                 ("crossover", *model), ("crossover", *model, "--terms", "4"))) + (
+    # t = hbar tau_T / gamma0 ~ 1.1e-19 where hbar * tau_T is subnormal
+    ("crossover", "--beta", "2", "--gamma0", "1e-300", "--hbar", "1e-320"),)
 
 ERRORS = (
     # usage errors, exit 2
