@@ -30,10 +30,12 @@ smooth rest.  Where the pole is near and its weight e^{-tau/2} counts,
 that part is subtracted at each node and its elementary integral over
 u is added back (P. J. Davis and P. Rabinowitz, Methods of Numerical
 Integration, 2nd ed., Academic Press 1984), so the rule sees a smooth
-integrand at every beta.  It starts from [0, 1] halved toward u = 1:
-for the decay e^{-t}, where the ray integral counts, or at tau = 0,
-where nothing decays, down to the ray's turn near 1 - u = 1/beta.  The
-start holds at most 37 panels.  From there it is a globally adaptive
+integrand at every beta.  It starts from [0, 1] halved where the rule
+would bisect: where the ray integral counts, four times toward u = 1
+for the decay e^{-t}, and toward u = 0 down to the pole's image
+u_p = |t_p|/(1 + |t_p|); at tau = 0, where nothing decays, toward
+u = 1 down to the ray's turn near 1 - u = 1/beta.  The start holds at
+most 37 panels.  From there it is a globally adaptive
 Gauss-Kronrod 7/15 rule (R. Piessens et al., QUADPACK, Springer 1983)
 applied to I and J on the same panels: it bisects the panel with the
 largest error relative to its budget, until each of I and J carries a
@@ -73,11 +75,13 @@ _MIN_WIDTH = 1e-13
 
 # The rule subtracts the pole part only while the pole's weight e^{-t}
 # exceeds ABS_TOL.  The start adds _DECAY_POINTS dyadic points toward
-# u = 1 where the ray integral needs a relative accuracy finer than
-# _RAY_CUT; at tau = 0 it halves toward u = 1 instead, at most 36 times
-# below beta = 1/(2 pi _ROUNDOFF).  So it holds at most 37 panels.
+# u = 1, and up to _LOW_HALVINGS toward the pole's image near u = 0,
+# where the ray integral needs a relative accuracy finer than _RAY_CUT;
+# at tau = 0 it halves toward u = 1 instead, at most 36 times below
+# beta = 1/(2 pi _ROUNDOFF).  So it holds at most 37 panels.
 _POLE_CUT = -math.log(ABS_TOL)
-_DECAY_POINTS = 3
+_DECAY_POINTS = 4
+_LOW_HALVINGS = 32
 _RAY_CUT = 1e-5
 
 # (node, Kronrod weight, Gauss weight) of the 7/15 pair on [-1, 1]
@@ -136,16 +140,21 @@ def _panel(a: float, b: float, beta: float, k: complex, rate: float,
 
 
 def _start(beta: float, omega: float) -> list:
-    # The first panels, [0, 1] halved toward u = 1.  Each point bisects a
-    # panel made before it, so the rule could reach this partition
-    # itself; starting on it saves the evaluations of the coarser panels
-    # that bisection would throw away.  At most MAX_PANELS - 1 points
-    # join [0, 1], so that MAX_PANELS counts every panel.
-    # The weight e^{-t} falls off over t = 1, 3, 7, ...: put points there,
-    # at u = 1/2, 3/4, 7/8, where the ray integral must be resolved
-    # finely.  At large beta the ray integral of J, of size
-    # 1/(beta*omega), sits under a budget the pole term sets, and needs
-    # only _RAY_CUT relative accuracy or coarser; one panel resolves it.
+    # The first panels, [0, 1] halved toward u = 1 and toward u = 0.
+    # Each point bisects a panel made before it, so the rule could reach
+    # this partition itself; starting on it saves the evaluations of the
+    # coarser panels that bisection would throw away.  At most
+    # MAX_PANELS - 1 points join [0, 1], the decay points first, so that
+    # MAX_PANELS counts every panel.
+    # The weight e^{-t} falls off over t = 1, 3, 7, 15: put points there,
+    # at u = 1/2, 3/4, 7/8, 15/16, where the ray integral must be
+    # resolved finely.  Near u = 0 the pole factors turn over t ~ |t_p|,
+    # t_p = omega (1/2 + i beta), whose image is u_p = |t_p|/(1 + |t_p|):
+    # halve [0, 1/2] toward u = 0 until the panel is no wider than u_p,
+    # at most _LOW_HALVINGS times, which a subnormal or tiny omega reaches.
+    # At large beta the ray integral of J, of size 1/(beta*omega), sits
+    # under a budget the pole term sets, and needs only _RAY_CUT relative
+    # accuracy or coarser; one panel resolves it.
     # At tau = 0 nothing decays, and the ray integrand 1/(beta + i t)**2
     # turns from about t**2/beta**2 to -1 in u near 1 - u = 1/beta.  The
     # top panel's outer node, (1 - x0)/2 of its width from u = 1, sees
@@ -157,12 +166,18 @@ def _start(beta: float, omega: float) -> list:
         if beta * omega * (REL_TOL * math.pi * math.exp(-0.5 * omega)
                            + ABS_TOL) < _RAY_CUT:
             points = [1.0 - 0.5 ** n for n in range(1, _DECAY_POINTS + 1)]
+            r = omega * abs(complex(0.5, beta))  # |t_p|
+            u_p = r / (1.0 + r)
+            w = 0.5
+            while w > u_p and len(points) < _DECAY_POINTS + _LOW_HALVINGS:
+                w *= 0.5
+                points.append(w)
     elif beta * _ROUNDOFF * _TWO_PI < 1.0:
         a = 0.0
         while (1.0 - a) * (1.0 - _XGK[0]) * beta > 2.0:
             a = 0.5 * (a + 1.0)
             points.append(a)
-    points = [0.0, *points[:MAX_PANELS - 1], 1.0]
+    points = [0.0, *sorted(points[:MAX_PANELS - 1]), 1.0]
     return list(zip(points, points[1:]))
 
 

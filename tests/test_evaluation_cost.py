@@ -10,8 +10,9 @@ and J/I share one run of the oracle's rule, which integrates I and J
 together on the same panels.  The sharing goes through one-entry memos,
 which must never change a value or swallow an error.  The late-time
 coefficient tables are generated once per beta, not per point.  The
-oracle's rule starts from at most 37 panels graded toward u = 1, and
-evaluates at most 9 per point on the oracle grid.  An
+oracle's rule starts from at most 37 panels graded toward the decay
+near u = 1 and the pole near u = 0, and evaluates at most 7 per point
+on the oracle grid.  An
 exact row makes about 31 Python-level calls and an asymptotic row 27.
 The E1 power series is a Horner polynomial of at most 33 steps on
 |z| <= 4 and 124 on |z| <= 50, and it sees only arguments where its
@@ -241,11 +242,8 @@ def test_quadrature_row_integrates_i_once(monkeypatch):
     assert [args[1] for args in calls] == taus
 
 
-def test_graded_start_saves_panels(monkeypatch):
-    # on the oracle workload's grid, 5 nominal beta by 40 log tau on
-    # [0.01, 40], the rule evaluates at most 9 panels per point; from a
-    # one-panel start it bisects toward the decay and evaluates 11.3,
-    # throwing away the 15 nodes of each panel it splits
+def _panels_per_point(monkeypatch, points):
+    # the panel evaluations of one run of the rule at each point
     calls = []
     panel = quadrature._panel
 
@@ -254,11 +252,33 @@ def test_graded_start_saves_panels(monkeypatch):
         return panel(*args)
 
     monkeypatch.setattr(quadrature, "_panel", counting)
+    counts = []
+    for beta, tau in points:
+        before = len(calls)
+        quadrature.quad(beta, tau)
+        counts.append(len(calls) - before)
+    return counts
+
+
+def test_graded_start_saves_panels(monkeypatch):
+    # on the oracle workload's grid, 5 nominal beta by 40 log tau on
+    # [0.01, 40], the rule evaluates at most 7 panels per point; from a
+    # one-panel start it bisects toward the decay and the pole and
+    # evaluates 11.3, throwing away the 15 nodes of each panel it splits
     points = [(beta, tau) for beta in (0.05, 0.5, 2.0, 10.0, 100.0)
               for tau in time_grid(0.01, 40.0, 40, "log")]
-    for beta, tau in points:
-        quadrature.quad(beta, tau)
-    assert len(calls) <= 9 * len(points)
+    assert sum(_panels_per_point(monkeypatch, points)) <= 7 * len(points)
+
+
+def test_graded_start_saves_panels_over_the_domain(monkeypatch):
+    # beta by decades from 1e-20 to 1e20 and at 1e+-100 and 1e+-300, by
+    # tau = 10**(k/4) on [1e-6, 1e3]: at most 8.5 panels per point on
+    # average and 30 at any point
+    betas = [10.0 ** k for k in (*range(-20, 21), -100, 100, -300, 300)]
+    points = [(beta, 10.0 ** (k / 4)) for beta in betas for k in range(-24, 13)]
+    counts = _panels_per_point(monkeypatch, points)
+    assert sum(counts) <= 8.5 * len(points)
+    assert max(counts) <= 30
 
 
 @pytest.mark.parametrize("tau", [0.0, 5e-324, 1e-18, 1e4, 1e8])

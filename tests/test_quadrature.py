@@ -119,10 +119,11 @@ def test_reported_error_covers_truncation_change(monkeypatch):
 def test_refinement_discrepancies_do_not_grow(monkeypatch):
     # successive tolerance tightenings reach the roundoff floor, so allow
     # an absolute cushion instead of demanding strict decrease.  At small
-    # beta the rule is not yet final at 1e-8, so the first tightening
-    # refines.
+    # beta the graded start alone meets both 1e-8 and 1e-10, so the
+    # ladder begins at 1e-2, which one panel meets, and the first
+    # tightening refines.
     values = []
-    for r in (1e-8, 1e-10, 1e-12):
+    for r in (1e-2, 1e-7, 1e-12):
         monkeypatch.setattr(quadrature, "REL_TOL", r)
         values.append(quad(0.01, 0.3)[0][0])
     d = [abs(b - a) for a, b in zip(values, values[1:])]
@@ -230,6 +231,19 @@ def test_oracle_against_mpmath_over_the_domain(beta):
             # 2**-52 |J/I|/beta, whichever route forms it (ROADMAP item 7),
             # so there the row is held in p and gamma_ratio alone
             assert max(errors if beta >= 0.01 else errors[::2]) < 1e-12, tau
+
+
+@pytest.mark.parametrize("beta", [1e-300, 1e-12, 3.87e-7, 1e-3])
+def test_oracle_past_the_pole_cut_against_mpmath(beta):
+    # past tau = 2 _POLE_CUT ~ 64.5 the pole is no longer subtracted, and
+    # at small beta the J certificate only just covers its error: about
+    # 0.81 of it at tau = 66.5.  On tau = 60 + k/10 over [60, 80] each I
+    # and J is held within its certificate and its budget.
+    for k in range(201):
+        tau = 60.0 + k / 10
+        i_ref, j_ref = mp_integrals(beta, tau, beta * tau)
+        for (value, err), ref in zip(quad(beta, tau), (i_ref, j_ref)):
+            assert abs(value - ref) <= err <= 1e-10 * abs(value) + 1e-14, tau
 
 
 TINY_TAUS = [1e-310, 1e-320, 5e-324]
