@@ -44,9 +44,14 @@ certificate
     err = (sum of |K15 - G7| over the panels) + roundoff floor
        <= REL_TOL*|value| + ABS_TOL,
 
-or MAX_PANELS panels exist.  Each public function raises
-ToleranceNotMet when its own certificate misses, carrying the achieved
-estimate.  The module is pure Python and needs no third-party package.
+or MAX_PANELS panels exist.  A panel's nodes t and their weights
+e^{-t}/(1 - u)**2 (1/(1 - u)**2 at tau = 0) depend on its ends alone,
+never on beta or tau, and nearby points bisect into the same panels;
+so each panel's table is built once per process and shared by every
+point, with the bits of building it afresh.  Each public function
+raises ToleranceNotMet when its own certificate misses, carrying the
+achieved estimate.  The module is pure Python and needs no third-party
+package.
 """
 
 from __future__ import annotations
@@ -101,28 +106,44 @@ _NODES = tuple((s * x, wk, wg) for x, wk, wg in zip(_XGK, _WGK, _WG)
     (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),)
 
 
+# The geometry of the panel u in [a, b] under the decay e^{-rate t}:
+# its half-width h and, at each of the fifteen nodes in the order of
+# _NODES, (t, w, wk, wg), the node's t = u/(1 - u), its weight
+# e^{-rate t}/(1 - u)**2 and the node's Kronrod and Gauss weights.  It
+# depends on neither beta nor tau, and bisections from the few starts
+# of a scan meet the same panels again, so each table is built once per
+# process and shared by every point.  A table holds about 2 kB.
+@functools.lru_cache(maxsize=128)
+def _nodes(a: float, b: float, rate: float) -> tuple:
+    h = 0.5 * (b - a)
+    c = a + h
+    e = 1.0 - c
+    table = []
+    for x, wk, wg in _NODES:
+        hx = h * x
+        v = 1.0 / (e - hx)  # 1/(1 - u), without cancellation near u = 1
+        t = (c + hx) * v
+        table.append((t, math.exp(-rate * t) * v * v, wk, wg))
+    return h, tuple(table)
+
+
 def _panel(a: float, b: float, beta: float, k: complex, rate: float,
            res: complex) -> tuple:
     # The record of the panel u in [a, b]: its ends, then Gauss-Kronrod
     # 7/15 of both ray integrands over it, (K15, |K15 - G7|, K15 of the
     # modulus) for I and the same for J, each less its pole part res*q.
-    # The pole factors 1/(eta -+ i/2) never form eta**2, so a huge beta
+    # The nodes come from _nodes; eta -+ i/2 is k t - (beta +- i/2), the
+    # same IEEE operations as (k t - beta) -+ i/2, so the same bits.  The
+    # pole factors 1/(eta -+ i/2) never form eta**2, so a huge beta
     # underflows to 0 instead of overflowing to NaN.
-    exp = math.exp
-    neg_rate = -rate
-    h = 0.5 * (b - a)
-    c = a + h
-    e = 1.0 - c
+    h, nodes = _nodes(a, b, rate)
+    zp, zq = complex(beta, 0.5), complex(beta, -0.5)
     ki = gi = kj = gj = 0j
     ai = aj = 0.0
-    for x, wk, wg in _NODES:
-        hx = h * x
-        v = 1.0 / (e - hx)  # 1/(1 - u), without cancellation near u = 1
-        t = (c + hx) * v
-        w = exp(neg_rate * t) * v * v
-        eta = k * t - beta
-        p = 1.0 / (eta - 0.5j)
-        q = 1.0 / (eta + 0.5j)
+    for t, w, wk, wg in nodes:
+        kt = k * t
+        p = 1.0 / (kt - zp)
+        q = 1.0 / (kt - zq)
         # the pole part takes the node's own q, so that the rounding of
         # t, magnified by q near the pole, cancels
         rq = res * q

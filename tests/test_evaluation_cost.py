@@ -12,7 +12,8 @@ which must never change a value or swallow an error.  The late-time
 coefficient tables are generated once per beta, not per point.  The
 oracle's rule starts from at most 37 panels graded toward the decay
 near u = 1 and the pole near u = 0, and evaluates at most 7 per point
-on the oracle grid.  An
+on the oracle grid.  A panel's nodes depend on its ends alone, so each
+is built once per process: the oracle grid builds at most 32.  An
 exact row makes about 31 Python-level calls and an asymptotic row 27.
 The E1 power series is a Horner polynomial of at most 33 steps on
 |z| <= 4 and 124 on |z| <= 50, and it sees only arguments where its
@@ -297,6 +298,41 @@ def test_graded_start_is_bounded(monkeypatch, beta, tau):
     monkeypatch.setattr(quadrature, "_start", recording)
     quadrature.quad(beta, tau)
     assert len(sizes) == 1 and sizes[0] <= 37
+
+
+def test_panel_geometry_is_built_once_per_panel():
+    # a panel's nodes, weights and t = u/(1 - u) depend on its ends and
+    # the decay rate alone: the oracle grid of test_graded_start_saves_panels
+    # meets 29 distinct panels and the whole-domain grid, tau = 0 at each
+    # beta included, 124, so the 128-entry cache never evicts there
+    oracle = [(beta, tau) for beta in (0.05, 0.5, 2.0, 10.0, 100.0)
+              for tau in time_grid(0.01, 40.0, 40, "log")]
+    betas = [10.0 ** k for k in (*range(-20, 21), -100, 100, -300, 300)]
+    domain = [(beta, tau) for beta in betas
+              for tau in (0.0, *(10.0 ** (k / 4) for k in range(-24, 13)))]
+    for points, tables in ((oracle, 32), (domain, 128)):
+        quadrature._nodes.cache_clear()
+        for beta, tau in points:
+            quadrature.quad(beta, tau)
+        assert quadrature._nodes.cache_info().misses <= tables
+
+
+def test_warm_node_tables_match_fresh_ones():
+    # these points share panels between tau = 0 (no decay, rate 0) and
+    # tau > 0 (rate 1), with and without the pole subtraction; a table
+    # from the cache must give the bits of one built afresh
+    points = [(beta, tau) for beta in (1e-8, 2.0, 1e6)
+              for tau in (0.0, 1e-3, 1.0, 40.0, 70.0)]
+
+    def fresh(beta, tau):
+        quadrature._nodes.cache_clear()
+        return quadrature.quad(beta, tau)
+
+    for beta, tau in points:
+        quadrature.quad(beta, tau)
+    warm = [(beta, tau, quadrature.quad(beta, tau)) for beta, tau in points]
+    for beta, tau, value in warm:
+        assert repr(value) == repr(fresh(beta, tau)), (beta, tau)
 
 
 def test_scan_order_does_not_change_rows():
