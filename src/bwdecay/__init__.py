@@ -18,7 +18,7 @@ _EXPORTS = {
     "DomainError": "errors",
     "EffectiveHamiltonianValue": "survival",
     "NearZeroAmplitude": "errors",
-    "ScanRow": "scan",
+    "ScanRow": "model",
     "ToleranceNotMet": "errors",
     "amplitude": "survival",
     "amplitude_by_quadrature": "quadrature",

@@ -13,6 +13,12 @@ against tau (panel C, dashed reference at 1).
 Exit codes: 0 success, 2 usage error, 3 numerical failure (any
 ``ArithmeticError``; every failure type of ``bwdecay.errors`` is one),
 141 standard output closed by its reader (as under ``| head``).
+
+A call loads only what its subcommand computes with.  Importing this
+module loads ``model``, ``errors`` and ``asymptotics`` (the parser's
+constants); ``scan_rows`` and ``crossover_time`` resolve on first use,
+through a module ``__getattr__``, so ``info`` loads no route and
+``crossover`` only ``crossover``.
 """
 
 from __future__ import annotations
@@ -26,10 +32,25 @@ import warnings
 
 from . import __version__
 from .asymptotics import AMPLITUDE_TERMS, SERIES_TERMS, AsymptoticRangeWarning
-from .crossover import crossover_time
 from .errors import DomainError
-from .model import BreitWignerModel
-from .scan import METHODS, ScanRow, scan_rows, time_grid
+from .model import METHODS, BreitWignerModel, ScanRow, time_grid
+
+
+def __getattr__(name):
+    # PEP 562: the routes resolve on first use and are stored as globals,
+    # where perfbench replaces them; the commands read them through the
+    # module object, so that a replaced one is the one that runs
+    if name == "scan_rows":
+        from .scan import scan_rows as value
+    elif name == "crossover_time":
+        from .crossover import crossover_time as value
+    else:
+        raise AttributeError("module {!r} has no attribute {!r}".format(__name__, name))
+    globals()[name] = value
+    return value
+
+
+_module = sys.modules[__name__]
 
 # The model's flags and config keys with their help, in --help order; with
 # the defaults they are the keywords of from_beta (beta) or the constructor.
@@ -203,6 +224,7 @@ def _cmd_scan(args, model: BreitWignerModel) -> int:
 def _spool_rows(spool, args, model: BreitWignerModel, taus) -> int:
     """Write the scan's rows to ``spool``; return the count of range warnings."""
     csv = args.output == "csv"
+    scan_rows = _module.scan_rows
     flagged = 0
     for i in range(0, len(taus), _CHUNK):
         with warnings.catch_warnings(record=True) as caught:
@@ -242,8 +264,8 @@ def _write_record(record: dict, args) -> int:
 
 
 def _cmd_crossover(args, model: BreitWignerModel) -> int:
-    result = crossover_time(model, order=args.terms,
-                            amplitude_const=args.amp_const)
+    result = _module.crossover_time(model, order=args.terms,
+                                    amplitude_const=args.amp_const)
     return _write_record({
         "tau_t": result.tau_t,
         "t_physical": result.t_physical,

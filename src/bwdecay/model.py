@@ -14,7 +14,9 @@ other real-valued parameter, beta included.  :func:`i_beta_at_zero` is
 the one formula for I(0) = 2 pi/N, :func:`_phase` the one place the
 phase exp(i beta tau) of the closed forms is formed, and
 :func:`time_grid` the one tau grid, which scans and the cross-over
-solve walk.
+solve walk.  Beside it are the names of a scan's routes, ``METHODS``,
+and its record, ``ScanRow``, which ``scan`` re-exports: the CLI builds
+its parser and row templates from them without loading a route.
 """
 
 from __future__ import annotations
@@ -195,6 +197,22 @@ def time_grid(tau_min: float, tau_max: float, points: int,
                 kind, points, tau_min, tau_max)
         )
     return grid
+
+
+METHODS = ("exact", "asymptotic", "quadrature")
+
+
+ScanRow = namedtuple("ScanRow", "tau p kappa gamma_ratio re_h im_h method")
+ScanRow.__doc__ = """One grid record, an immutable named tuple.
+
+The fields, in order: ``tau``, ``p``, ``kappa``, ``gamma_ratio``,
+``re_h``, ``im_h`` (floats) and ``method`` (the route's name).
+``kappa``, ``gamma_ratio``, ``re_h``, ``im_h`` are None where the
+effective Hamiltonian is undefined (tau = 0); ``re_h`` is
+(E - Emin)/gamma0, ``im_h`` is Im h/gamma0 = -gamma_ratio/2.
+``ScanRow._fields`` names the columns and ``row._asdict()`` maps them
+to the values.
+"""
 
 
 class BreitWignerModel(namedtuple("BreitWignerModel", "e0 gamma0 emin hbar")):

@@ -7,39 +7,57 @@ paths: the closed forms ("exact"), the late-time series ("asymptotic"),
 or the integration oracle ("quadrature").  The exact and quadrature
 paths end in the same (E, gamma) map and probability check of
 ``survival``; the asymptotic path takes E from the real terms of the
-J/I series and gamma from -2 Im of its sum.  Rows are plain records;
-rendering belongs to the CLI.
+J/I series and gamma from -2 Im of its sum.  Rows are plain records
+(``ScanRow``, which lives in ``model`` with ``METHODS``); rendering
+belongs to the CLI.
+
+Importing scan loads the late-time series but neither route module:
+the exact route's functions (from ``survival``) and the oracle's (from
+``quadrature``) resolve on first use, through a module ``__getattr__``,
+so an asymptotic scan loads neither route and an exact scan not the
+oracle.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+import sys
 
 from .asymptotics import (AMPLITUDE_TERMS, SERIES_TERMS, _energy_series,
                           amplitude_late, ratio_series)
 from .errors import DomainError
-from .model import BreitWignerModel, check_int, time_grid
-from .quadrature import amplitude_by_quadrature, i_by_quadrature, j_by_quadrature
-from .survival import (checked_probability, effective_hamiltonian,
-                       energy_and_rate, survival_probability)
+from .model import METHODS, BreitWignerModel, ScanRow, check_int, time_grid
 
-# time_grid lives in model, and scan re-exports it
+# METHODS, ScanRow and time_grid live in model, and scan re-exports them
 __all__ = ["METHODS", "ScanRow", "scan_rows", "time_grid"]
 
-METHODS = ("exact", "asymptotic", "quadrature")
+
+def __getattr__(name):
+    # PEP 562: a route's functions resolve on first use, so that a scan
+    # loads only the route it runs.  Only the name asked for is stored,
+    # so a global that perfbench has replaced is never overwritten.
+    if name == "survival_probability":
+        from .survival import survival_probability as value
+    elif name == "effective_hamiltonian":
+        from .survival import effective_hamiltonian as value
+    elif name == "checked_probability":
+        from .survival import checked_probability as value
+    elif name == "energy_and_rate":
+        from .survival import energy_and_rate as value
+    elif name == "amplitude_by_quadrature":
+        from .quadrature import amplitude_by_quadrature as value
+    elif name == "i_by_quadrature":
+        from .quadrature import i_by_quadrature as value
+    elif name == "j_by_quadrature":
+        from .quadrature import j_by_quadrature as value
+    else:
+        raise AttributeError("module {!r} has no attribute {!r}".format(__name__, name))
+    globals()[name] = value
+    return value
 
 
-ScanRow = namedtuple("ScanRow", "tau p kappa gamma_ratio re_h im_h method")
-ScanRow.__doc__ = """One grid record, an immutable named tuple.
-
-The fields, in order: ``tau``, ``p``, ``kappa``, ``gamma_ratio``,
-``re_h``, ``im_h`` (floats) and ``method`` (the route's name).
-``kappa``, ``gamma_ratio``, ``re_h``, ``im_h`` are None where the
-effective Hamiltonian is undefined (tau = 0); ``re_h`` is
-(E - Emin)/gamma0, ``im_h`` is Im h/gamma0 = -gamma_ratio/2.
-``ScanRow._fields`` names the columns and ``row._asdict()`` maps them
-to the values.
-"""
+# the module object, through which scan_rows reads the route functions:
+# a name found in the module's globals, else resolved by __getattr__
+_module = sys.modules[__name__]
 
 
 # builds a named tuple from the tuple of its fields, without calling the
@@ -70,15 +88,6 @@ def _asymptotic_row(model: BreitWignerModel, tau: float, terms: int) -> ScanRow:
                 -2.0 * r.imag, "asymptotic")
 
 
-def _quadrature_row(model: BreitWignerModel, tau: float) -> ScanRow:
-    amp = amplitude_by_quadrature(model, tau)
-    p = checked_probability(abs(amp) ** 2, tau)
-    if tau == 0:
-        return _row(model, tau, p, None, None, "quadrature")
-    r = j_by_quadrature(model.beta, tau) / i_by_quadrature(model.beta, tau)
-    return _row(model, tau, p, *energy_and_rate(model.beta, r), "quadrature")
-
-
 def scan_rows(model: BreitWignerModel, taus, method: str = "exact",
               terms: int = SERIES_TERMS) -> list:
     """Evaluate every grid point with the chosen method, in grid order.
@@ -105,13 +114,25 @@ def scan_rows(model: BreitWignerModel, taus, method: str = "exact",
     check_int("terms", terms, 1, SERIES_TERMS)
     if method == "asymptotic":
         return [_asymptotic_row(model, tau, terms) for tau in taus]
-    if method == "quadrature":
-        return [_quadrature_row(model, tau) for tau in taus]
-    # each exact point calls the two survival functions through this
-    # module's globals, which perfbench wraps as spans
+    # the route functions are read once per call through the module, in
+    # whose globals perfbench replaces them by spans
     rows = []
+    if method == "quadrature":
+        amplitude = _module.amplitude_by_quadrature
+        i_quad, j_quad = _module.i_by_quadrature, _module.j_by_quadrature
+        checked, energy_rate = _module.checked_probability, _module.energy_and_rate
+        for tau in taus:
+            p = checked(abs(amplitude(model, tau)) ** 2, tau)
+            if tau == 0:
+                rows.append(_row(model, tau, p, None, None, "quadrature"))
+                continue
+            r = j_quad(model.beta, tau) / i_quad(model.beta, tau)
+            rows.append(_row(model, tau, p, *energy_rate(model.beta, r), "quadrature"))
+        return rows
+    probability = _module.survival_probability
+    hamiltonian = _module.effective_hamiltonian
     for tau in taus:
-        p = survival_probability(model, tau)
-        energy, rate, _ = (None,) * 3 if tau == 0 else effective_hamiltonian(model, tau)
+        p = probability(model, tau)
+        energy, rate, _ = (None,) * 3 if tau == 0 else hamiltonian(model, tau)
         rows.append(_row(model, tau, p, energy, rate, "exact"))
     return rows

@@ -3,7 +3,10 @@
 No route imports scipy, the quadrature oracle included, and start-up
 does not load typing either.  An import loads only the package modules
 it computes with: the package's exports resolve on first use, and the
-cross-over solver loads neither the exact nor the quadrature route.  A
+cross-over solver loads neither the exact nor the quadrature route.  So
+does a CLI call: ``info`` loads no route, ``crossover`` only the solver,
+an asymptotic scan neither route and an exact scan not the oracle, and a
+route function replaced before its first use is the one that runs.  A
 scan row evaluates its integrals once: survival_probability and
 effective_hamiltonian share one E1 pair, and the quadrature amplitude
 and J/I share one run of the oracle's rule, which integrates I and J
@@ -112,8 +115,69 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "bwdecay")))
 
 _LATE_TIME = ["bwdecay", "bwdecay.asymptotics", "bwdecay.crossover", "bwdecay.errors",
               "bwdecay.model"]
-_ROUTES = ["bwdecay._kernels_py", "bwdecay.quadrature", "bwdecay.scan",
-           "bwdecay.survival"]
+# what the parser needs: importing the CLI loads this and no more
+_CLI = ["bwdecay", "bwdecay.asymptotics", "bwdecay.cli", "bwdecay.errors",
+        "bwdecay.model"]
+_EXACT = ["bwdecay._kernels_py", "bwdecay.scan", "bwdecay.survival"]
+
+
+# The package modules loaded by one CLI call in a fresh process.
+_CALL_PROBE = """
+import contextlib, io, sys
+import bwdecay.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "bwdecay"))
+"""
+
+
+# Replaces the CLI's and the scan's route functions by wrappers before any
+# route module loads, if asked to (argv[2] == "1"), then runs the CLI calls
+# of argv[1], a JSON list, and prints what was loaded at each replacement
+# and, per call, its exit code, stdout and the wrappers that fired.  A
+# wrapper looks its function up only when called, so it loads nothing.
+_REPLACE_PROBE = """
+import contextlib, importlib, io, json, sys
+import bwdecay.cli as cli
+
+homes = {"scan_rows": "scan", "crossover_time": "crossover",
+         "survival_probability": "survival", "effective_hamiltonian": "survival",
+         "amplitude_late": "asymptotics", "ratio_series": "asymptotics",
+         "amplitude_by_quadrature": "quadrature", "i_by_quadrature": "quadrature",
+         "j_by_quadrature": "quadrature"}
+fired = set()
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "bwdecay")
+
+def replace(owner, name):
+    home = "bwdecay." + homes[name]
+    span = owner.__name__.split(".")[1] + "." + name
+    def wrapper(*args, **kwargs):
+        fired.add(span)
+        return getattr(importlib.import_module(home), name)(*args, **kwargs)
+    setattr(owner, name, wrapper)
+
+before = []
+if sys.argv[2] == "1":
+    replace(cli, "scan_rows")
+    replace(cli, "crossover_time")
+    before.append(loaded())
+    import bwdecay.scan as scan
+    for name in ("survival_probability", "effective_hamiltonian", "amplitude_late",
+                 "ratio_series", "amplitude_by_quadrature", "i_by_quadrature",
+                 "j_by_quadrature"):
+        replace(scan, name)
+    before.append(loaded())
+runs = []
+for argv in json.loads(sys.argv[1]):
+    fired.clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), sorted(fired)])
+print(json.dumps({"before": before, "runs": runs}))
+"""
 
 
 def _bits(row):
@@ -154,14 +218,62 @@ def test_bare_start_up_loads_neither_typing_nor_scipy():
                                              "bwdecay.model"]),
     ("from bwdecay import time_grid", ["bwdecay", "bwdecay.errors", "bwdecay.model"]),
     ("import bwdecay.crossover", _LATE_TIME),
-    ("import bwdecay.cli", sorted(_LATE_TIME + _ROUTES + ["bwdecay.cli"])),
+    ("import bwdecay.cli", _CLI),
 ], ids=["package", "one_export", "time_grid", "crossover", "cli"])
 def test_an_import_loads_only_what_it_computes_with(statement, loaded):
-    # the cli case pins today's set: every CLI call imports all of it
     res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE.format(statement=statement)],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == loaded
+
+
+@pytest.mark.parametrize("argv,routes", [
+    (["info", "--beta", "10"], []),
+    (["crossover", "--beta", "10"], ["bwdecay.crossover"]),
+    (["scan", "--beta", "10", "--points", "50"], _EXACT),
+    (["scan", "--beta", "10", "--points", "5", "--method", "asymptotic",
+      "--tau-min", "40", "--tau-max", "400"], ["bwdecay.scan"]),
+    (["scan", "--beta", "10", "--points", "5", "--method", "quadrature"],
+     _EXACT + ["bwdecay.quadrature"]),
+], ids=["info", "crossover", "exact", "asymptotic", "quadrature"])
+def test_a_cli_call_loads_only_what_it_computes_with(argv, routes):
+    # the quadrature route checks p and maps J/I to (E, gamma) with the
+    # exact route's survival functions, and so loads that route too
+    res = subprocess.run([sys.executable, "-c", _CALL_PROBE, *argv],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", *sorted(_CLI + routes)]
+
+
+def test_a_route_replaced_before_first_use_is_the_one_that_runs():
+    # the oracle's scan runs first: resolving checked_probability and
+    # energy_and_rate on first use must not put the exact route's
+    # original functions back over their wrappers
+    runs = [
+        ["scan", "--beta", "2", "--method", "quadrature", "--tau-min", "0",
+         "--tau-max", "5", "--points", "3", "--grid", "linear"],
+        ["scan", "--beta", "10", "--tau-min", "0.01", "--tau-max", "40", "--points", "6"],
+        ["scan", "--beta", "10", "--method", "asymptotic", "--tau-min", "40",
+         "--tau-max", "1e4", "--points", "5", "--output", "json"],
+        ["crossover", "--beta", "10"],
+    ]
+    results = []
+    for replaced in ("1", "0"):
+        res = subprocess.run([sys.executable, "-c", _REPLACE_PROBE, json.dumps(runs),
+                              replaced], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        results.append(json.loads(res.stdout))
+    patched, plain = results
+    assert patched["before"] == [_CLI, sorted(_CLI + ["bwdecay.scan"])]
+    assert [fired for *_, fired in patched["runs"]] == [
+        ["cli.scan_rows", "scan.amplitude_by_quadrature", "scan.i_by_quadrature",
+         "scan.j_by_quadrature"],
+        ["cli.scan_rows", "scan.effective_hamiltonian", "scan.survival_probability"],
+        ["cli.scan_rows", "scan.amplitude_late", "scan.ratio_series"],
+        ["cli.crossover_time"],
+    ]
+    assert [run[:2] for run in patched["runs"]] == [run[:2] for run in plain["runs"]]
+    assert all(code == 0 for code, *_ in plain["runs"])
 
 
 def test_import_builds_no_parser_and_main_builds_one():

@@ -119,12 +119,13 @@ def test_export_list_is_sorted_and_resolves():
 
 
 def _internal_import_graph():
-    # module -> the package modules its module-level "from ." imports
-    # name; "from . import __version__" names the package, "__init__"
+    # module -> the package modules its "from ." imports name, at module
+    # level or inside a function, where a module imports a route on first
+    # use; "from . import __version__" names the package, "__init__"
     trees = _module_trees()
     graph = {name: set() for name in trees}
     for name, tree in trees.items():
-        for node in tree.body:
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 targets = [node.module] if node.module else [a.name for a in node.names]
                 graph[name].update(t if t in trees else "__init__" for t in targets)
