@@ -35,6 +35,11 @@ _SCAN_POINTS = 481
 _MAX_ITER = 200
 # acceptance bound on |F(tau_T)|
 _TOL = 1e-10
+# Near its root the computed F scatters by about one ulp of tau (0.6 to
+# 1.3 ulp, measured for beta = 0.5 to 1e6), so below two ulps of the
+# bracket's top a smaller |F| no longer means a closer root: the
+# refinement stops there.
+_ROUNDING_ULPS = 2
 
 
 class CrossoverResult(namedtuple(
@@ -43,7 +48,9 @@ class CrossoverResult(namedtuple(
 
     tau_t is dimensionless; t_physical = hbar * tau_t / gamma0 in the
     model's units.  bracket is the grid interval the root was isolated
-    in, residual the value of the log-difference F at tau_t.
+    in, residual the value of the log-difference F at tau_t, and
+    iterations the number of evaluations of F that refined the bracket
+    to tau_t, after those that found it.
     """
 
     __slots__ = ()
@@ -76,15 +83,63 @@ def _decreasing_from(beta: float, order: int, grid) -> int:
     0.0097 per step, far above its rounding: the computed F is strictly
     decreasing there and changes sign at most once.
     """
-    tail = [abs(c) for c in i_brace_coefficients(beta)[1:order]]
+    # |c_k| and k |c_k| from k = order - 1 down to 1, for Horner sums in u
+    tail = [abs(c) for c in i_brace_coefficients(beta)[order - 1:0:-1]]
+    weighted = [k * c for k, c in zip(range(order - 1, 0, -1), tail)]
 
     def certified(tau):
         u = 1.0 / tau
-        low = 1.0 - sum(c * u ** (k + 1) for k, c in enumerate(tail))
-        slope = sum((k + 1) * c * u ** k for k, c in enumerate(tail))
+        low = slope = 0.0
+        for c, w in zip(tail, weighted):
+            low = (low + c) * u
+            slope = slope * u + w
+        low = 1.0 - low
         return low > 0.0 and 2.0 * u * low + 2.0 * u * u * slope <= 0.5 * low
 
     return bisect.bisect_left(grid, True, 0, len(grid) - 1, key=certified)
+
+
+def _refine(f, a: float, b: float, fa: float, fb: float) -> tuple:
+    """Root of ``f`` strictly inside (a, b), given fa = f(a) > 0 >= fb = f(b).
+
+    Illinois regula falsi (M. Dowell and P. Jarratt, BIT 11 (1971) 168):
+    each step evaluates f at the secant point of the bracket, or at its
+    midpoint where that point is not strictly inside, and keeps the
+    sign change.  When the same end is kept twice running, its value is
+    halved, so the secant point moves past the root and the bracket
+    closes from both sides.  The refinement stops when |f| is down to
+    its rounding level (or to _TOL, if that is smaller), when no double
+    lies strictly inside the bracket, or after _MAX_ITER evaluations.
+
+    Returns (root, f(root), evaluations), root being the evaluated point
+    with the least |f|.
+    """
+    tol = min(_TOL, _ROUNDING_ULPS * math.ulp(b))
+    kept = 0  # -1 after a step that kept b, +1 after one that kept a
+    evaluations = 0
+    while evaluations < _MAX_ITER:
+        x = b - fb * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                break
+        fx = f(x)
+        evaluations += 1
+        if evaluations == 1 or abs(fx) < abs(residual):
+            root, residual = x, fx
+        if abs(fx) <= tol:
+            break
+        if fx > 0.0:
+            a, fa = x, fx
+            if kept < 0:
+                fb *= 0.5
+            kept = -1
+        else:
+            b, fb = x, fx
+            if kept > 0:
+                fa *= 0.5
+            kept = 1
+    return root, residual, evaluations
 
 
 def crossover_time(model: BreitWignerModel, order: int = 1,
@@ -106,6 +161,8 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
     Returns
     -------
     CrossoverResult
+        Its ``iterations`` counts the evaluations of F that refined the
+        grid bracket to ``tau_t``.
 
     Raises
     ------
@@ -114,17 +171,23 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
         0.5 <= beta < 1.34e154), or if the late-time amplitude is 0 in
         double precision, as from beta ~ 1.34e154, where D overflows.
     ToleranceNotMet
-        If 200 bisection steps leave |F| above 1e-10.
+        If the refinement stops with |F| above 1e-10.  It reaches
+        F's rounding level, about 1e-14, on every solve tried.
     """
     check_int("order", order, 1, AMPLITUDE_TERMS)
     a_const = model.normalization() if amplitude_const is None else amplitude_const
     check_real("amplitude_const", a_const, positive=True)
 
+    two_ln_a = 2.0 * math.log(a_const)
+    # F at every tau evaluated, so that the refinement starts from its
+    # values at the bracket's ends without evaluating either again
+    known = {}
+
     def f(tau: float) -> float:
         late = abs(amplitude_late(model, tau, order))
-        if late == 0.0:
-            return math.inf
-        return 2.0 * math.log(a_const) - tau - 2.0 * math.log(late)
+        known[tau] = value = (math.inf if late == 0.0
+                              else two_ln_a - tau - 2.0 * math.log(late))
+        return value
 
     # The solver probes tau down to 1, where the series is formally out
     # of range; that is intended here, hence the muffle around the solve.
@@ -164,29 +227,17 @@ def crossover_time(model: BreitWignerModel, order: int = 1,
                 "(order {}, A = {:.6g})".format(_BRACKET_LO, _BRACKET_HI, order, a_const)
             )
 
-        bracket = (lo, hi)
-        a, b = lo, hi
-        root = 0.5 * (a + b)
-        residual = f(root)
-        iterations = 1
-        while abs(residual) > _TOL and iterations < _MAX_ITER:
-            if residual > 0.0:
-                a = root
-            else:
-                b = root
-            root = 0.5 * (a + b)
-            residual = f(root)
-            iterations += 1
+        root, residual, iterations = _refine(f, lo, hi, known[lo], known[hi])
     if abs(residual) > _TOL:
         raise ToleranceNotMet(
-            "crossover residual {:.3e} after {} bisection steps".format(
+            "crossover residual {:.3e} after {} refinement steps".format(
                 residual, iterations
             ),
             achieved=abs(residual),
         )
     return CrossoverResult(
         tau_t=root,
-        bracket=bracket,
+        bracket=(lo, hi),
         residual=residual,
         order=order,
         iterations=iterations,

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import pytest
 
 from bwdecay import crossover
@@ -27,7 +28,33 @@ FIXED_POINTS = {
 @pytest.mark.parametrize("beta,tau_t", sorted(FIXED_POINTS.items()))
 def test_matches_fixed_point_iteration(beta, tau_t):
     m = BreitWignerModel.from_beta(beta)
-    assert crossover_time(m).tau_t == pytest.approx(tau_t, abs=1e-8)
+    assert crossover_time(m).tau_t == pytest.approx(tau_t, abs=1e-11)
+
+
+def _exact_root(beta, order, guess):
+    # root of F = -tau - 2 ln|a_lt(tau) / N| at 50 digits, with the I
+    # brace coefficients ci_k = (-1)**(k+1) D f^(k)(-beta) of
+    # f = 1/(eta**2 + 1/4) written out in closed form
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta)
+        d = b * b + mpmath.mpf(1) / 4
+        q = b * b / d
+        brace = (-1, 2 * b / d, 2 * (1 - 4 * q) / d, 24 * b * (2 * q - 1) / (d * d),
+                 24 * (-16 * q * q + 12 * q - 1) / (d * d))[:order]
+
+        def f(tau):
+            x = 1j / tau
+            late = x * mpmath.polyval(brace[::-1], x) / (2 * mpmath.pi * d)
+            return -tau - 2 * mpmath.log(abs(late))
+
+        return mpmath.findroot(f, mpmath.mpf(guess))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("beta", [0.5, 2.0, 10.0, 100.0, 1e4, 1e6])
+def test_root_is_right_to_working_precision(beta, order):
+    r = crossover_time(BreitWignerModel.from_beta(beta), order=order)
+    assert r.tau_t == pytest.approx(float(_exact_root(beta, order, r.tau_t)), rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -100,13 +127,13 @@ def test_no_bracket_for_vanishing_prefactor():
 
 def test_bisection_grinds_to_an_exact_zero(monkeypatch):
     # near the root the log-difference steps by about one ulp per tau
-    # float and lands on exactly 0.0, so even an absurd tolerance
-    # converges instead of tripping the iteration cap
+    # float, so a tolerance below F's rounding level lets the refinement
+    # go on past it until F lands on exactly 0.0, in a few steps
     monkeypatch.setattr(crossover, "_TOL", 1e-300)
     m = BreitWignerModel.from_beta(10.0)
     r = crossover_time(m)
     assert r.residual == 0.0
-    assert r.iterations < 60
+    assert r.iterations < 20
 
 
 def test_exact_probability_brackets_the_canonical_era():
@@ -146,7 +173,9 @@ def test_solver_rejects_bad_arguments(kwargs):
 
 # The bracket search: a bisection over the grid suffix on which F
 # provably falls, then the right-to-left walk below it, must give what
-# the walk over the whole grid gave, bit for bit.
+# the walk over the whole grid gave, bit for bit.  Both refine their
+# bracket with the module's one refinement, which
+# test_root_is_right_to_working_precision checks on its own.
 
 SWEEP_BETAS = [10.0 ** (k / 10) for k in range(-30, 61)]
 EDGE_BETAS = [1e-300, 1e155, 1e300]
@@ -179,21 +208,11 @@ def _walk_crossover(model, order=1, amplitude_const=None):
         raise BracketError(
             "no exponential/power-law sign change on [{:g}, {:g}] "
             "(order {}, A = {:.6g})".format(1.0, 1.0e4, order, a_const))
-    a, b = lo, hi
-    root = 0.5 * (a + b)
-    residual = _f(model, root, order, a_const)
-    iterations = 1
-    while abs(residual) > 1e-10 and iterations < 200:
-        if residual > 0.0:
-            a = root
-        else:
-            b = root
-        root = 0.5 * (a + b)
-        residual = _f(model, root, order, a_const)
-        iterations += 1
+    root, residual, iterations = crossover._refine(
+        lambda tau: _f(model, tau, order, a_const), lo, hi, f_cur, f_hi)
     if abs(residual) > 1e-10:
         raise ToleranceNotMet(
-            "crossover residual {:.3e} after {} bisection steps".format(
+            "crossover residual {:.3e} after {} refinement steps".format(
                 residual, iterations), achieved=abs(residual))
     return CrossoverResult(tau_t=root, bracket=(lo, hi), residual=residual,
                            order=order, iterations=iterations,
@@ -220,13 +239,9 @@ def test_bracket_search_matches_the_full_walk(order):
                         == _outcome(_walk_crossover, m, order, a_const)), (beta, a_const)
 
 
-@pytest.mark.parametrize(
-    "beta,order,budget",
-    [(b, o, 60) for b in (0.5, 2.0, 10.0, 100.0) for o in (1, 2, 3, 4)]
-    + [(0.05, 3, 120), (0.05, 4, 120)],
-)
-def test_bracket_search_evaluates_few_points(monkeypatch, beta, order, budget):
-    # the full walk took 333-481 evaluations of F for these solves
+@pytest.fixture
+def evaluated_taus(monkeypatch):
+    """The tau of every evaluation of F, in order, while the test runs."""
     taus = []
 
     def counting(*args):
@@ -234,16 +249,56 @@ def test_bracket_search_evaluates_few_points(monkeypatch, beta, order, budget):
         return amplitude_late(*args)
 
     monkeypatch.setattr(crossover, "amplitude_late", counting)
+    return taus
+
+
+@pytest.mark.parametrize(
+    "beta,order,budget",
+    [(b, o, 60) for b in (0.5, 2.0, 10.0, 100.0) for o in (1, 2, 3, 4)]
+    + [(0.05, 3, 120), (0.05, 4, 120)],
+)
+def test_bracket_search_evaluates_few_points(evaluated_taus, beta, order, budget):
+    # the full walk took 333-481 evaluations of F for these solves;
+    # test_a_solve_evaluates_f_at_most_20_times holds the solving ones
+    # to the refinement's count
     m = BreitWignerModel.from_beta(beta)
     if beta == 0.05:
         with pytest.raises(BracketError):
             crossover_time(m, order=order)
     else:
         crossover_time(m, order=order)
-    assert len(taus) <= budget
+    assert len(evaluated_taus) <= budget
     grid = set(time_grid(1.0, 1.0e4, 481, "log"))
-    on_grid = [t for t in taus if t in grid]
+    on_grid = [t for t in evaluated_taus if t in grid]
     assert len(on_grid) == len(set(on_grid)), "a grid point was evaluated twice"
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("beta", [0.5, 2.0, 10.0, 100.0])
+def test_a_solve_evaluates_f_at_most_20_times(evaluated_taus, beta, order):
+    # 10-15 evaluations, bracket search included, against 30-42 with the
+    # bisection to |F| <= 1e-10 that the refinement replaced
+    crossover_time(BreitWignerModel.from_beta(beta), order=order)
+    assert len(evaluated_taus) <= 20
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_refinement_takes_fewer_steps_than_bisection(evaluated_taus, order):
+    # the bisection to |F| <= 1e-10 took 22-33 steps a solve on this
+    # sweep, the refinement takes 4 or 5; no solve evaluates a tau twice
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AsymptoticRangeWarning)
+        for beta in SWEEP_BETAS:
+            m = BreitWignerModel.from_beta(beta)
+            for a_const in (None, 0.5, 1e3):
+                evaluated_taus.clear()
+                try:
+                    r = crossover_time(m, order=order, amplitude_const=a_const)
+                except BracketError:
+                    pass
+                else:
+                    assert 1 <= r.iterations <= 33, (beta, a_const)
+                assert len(evaluated_taus) == len(set(evaluated_taus)), (beta, a_const)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
